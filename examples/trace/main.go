@@ -33,7 +33,7 @@ func main() {
 	part := grid.NewPartition(area, 100)
 	rcfg := radio.DefaultConfig()
 	channel := radio.NewChannel(engine, rng, rcfg)
-	bus := ras.NewBus(engine, part, rcfg.Range, ras.DefaultLatency)
+	bus := ras.NewBus(engine, part, channel, rcfg.Range, ras.DefaultLatency)
 
 	rec := trace.NewRecorder(4096)
 	rec.AttachRadio(channel)

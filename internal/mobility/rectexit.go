@@ -63,29 +63,6 @@ func NextRectExit(m Model, t float64, rect geom.Rect, horizon float64) float64 {
 	return horizon
 }
 
-// ProvablyWithin reports whether the host provably remains inside rect
-// over the whole interval [from, until]. This is a strictly stronger
-// statement than NextRectExit(from) ≥ until: the sampling fallback is
-// conservative about the crossings it detects but can miss a brief
-// excursion between samples, so ProvablyWithin only trusts the models
-// the oracle analyzes exactly — Stationary and the TurnAware leg walk —
-// and answers false for everything else. The sharded engine's scan
-// pruning (internal/shard) rests on this: a host it pins to a strip
-// must be inside the strip at every instant a probe could observe it.
-func ProvablyWithin(m Model, from, until float64, rect geom.Rect) bool {
-	if until <= from {
-		return false
-	}
-	switch m.(type) {
-	case Stationary, *Stationary:
-	default:
-		if _, ok := m.(TurnAware); !ok {
-			return false
-		}
-	}
-	return NextRectExit(m, from, rect, until) >= until
-}
-
 func stationaryRectExit(s Stationary, t float64, rect geom.Rect) float64 {
 	if rect.Contains(s.At) {
 		return math.Inf(1)

@@ -236,15 +236,6 @@ func (h *Host) NextExit(t float64, bounds geom.Rect) float64 {
 	return mobility.NextRectExit(h.mob, t, bounds, t+horizon)
 }
 
-// StaysWithin reports whether the host provably remains inside bounds
-// over the whole interval [from, until]. The sharded engine's scan
-// pruning (internal/shard) uses it as the per-window pin test; call it
-// only after AdvanceMobility(until) or later, so the proof walks legs
-// that already exist and draws nothing from the mobility stream.
-func (h *Host) StaysWithin(from, until float64, bounds geom.Rect) bool {
-	return mobility.ProvablyWithin(h.mob, from, until, bounds)
-}
-
 // MaxSpeedMS implements radio.SpeedBounded: a bound on the host's speed
 // for the whole run, from its mobility model, or +Inf when the model
 // cannot bound itself.

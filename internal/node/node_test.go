@@ -42,11 +42,12 @@ func newWorld() *world {
 	rng := sim.NewRNG(1)
 	p := grid.NewPartition(geom.NewRect(geom.Point{}, geom.Point{X: 1000, Y: 1000}), 100)
 	cfg := radio.DefaultConfig()
+	ch := radio.NewChannel(e, rng, cfg)
 	return &world{
 		engine:    e,
 		rng:       rng,
-		channel:   radio.NewChannel(e, rng, cfg),
-		bus:       ras.NewBus(e, p, cfg.Range, ras.DefaultLatency),
+		channel:   ch,
+		bus:       ras.NewBus(e, p, ch, cfg.Range, ras.DefaultLatency),
 		partition: p,
 	}
 }

@@ -34,11 +34,12 @@ func newTestbed(t *testing.T) *testbed {
 	area := geom.NewRect(geom.Point{}, geom.Point{X: 1000, Y: 1000})
 	part := grid.NewPartition(area, 100)
 	cfg := radio.DefaultConfig()
+	ch := radio.NewChannel(e, rng, cfg)
 	return &testbed{
 		engine:    e,
 		rng:       rng,
-		channel:   radio.NewChannel(e, rng, cfg),
-		bus:       ras.NewBus(e, part, cfg.Range, ras.DefaultLatency),
+		channel:   ch,
+		bus:       ras.NewBus(e, part, ch, cfg.Range, ras.DefaultLatency),
 		partition: part,
 	}
 }

@@ -805,6 +805,29 @@ func (c *Channel) InRange(a, b hostid.ID) bool {
 	return sa.ep.Position().Dist2(sb.ep.Position()) <= c.cfg.Range*c.cfg.Range
 }
 
+// NearIDs appends to dst every attached station that may lie within r
+// of p — a superset of the stations truly in range — in ascending ID
+// order, and returns dst. The caller owns the exact distance check. With
+// the spatial index the candidates come from the cells within reach plus
+// the unindexed side list; under BruteForce they are the whole attached
+// population, the reference sweep. The RAS bus answers grid pages from
+// it (ras.Candidates); pass a recycled dst[:0] to stay allocation-free.
+func (c *Channel) NearIDs(p geom.Point, r float64, dst []hostid.ID) []hostid.ID {
+	if c.index == nil {
+		return append(dst, c.order...)
+	}
+	// c.cand is the receiver scan's scratch; it is fully consumed here
+	// before any other channel method can run.
+	c.cand = c.index.NearbyAppend(p, r, c.cand[:0])
+	start := len(dst)
+	for i := range c.cand {
+		dst = append(dst, c.cand[i].ID)
+	}
+	dst = append(dst, c.unindexed...)
+	slices.Sort(dst[start:])
+	return dst
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -21,8 +21,6 @@ package ras
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"ecgrid/internal/geom"
 	"ecgrid/internal/grid"
@@ -70,20 +68,27 @@ func (r WakeReason) String() string {
 	}
 }
 
+// Candidates is where a grid page finds the hosts it may reach: NearIDs
+// appends, in ascending ID order, a superset of the hosts lying within r
+// of p and returns dst. The radio channel implements it from its spatial
+// index (radio.Channel.NearIDs); IDs that have no attached switch are
+// allowed and skipped.
+type Candidates interface {
+	NearIDs(p geom.Point, r float64, dst []hostid.ID) []hostid.ID
+}
+
 // Bus is the out-of-band paging medium shared by all hosts.
 type Bus struct {
 	engine    *sim.Engine
 	partition *grid.Partition
+	near      Candidates
 	rangeM    float64 // paging reach in meters
 	latency   float64 // seconds from page to wake
 	switches  map[hostid.ID]*Switch
 
-	// ids caches the attached IDs in ascending order for PageGrid's
-	// reference sweep; rebuilt lazily after a membership change.
-	// Iterating and sorting the whole map per page event is O(N log N)
-	// per page, which dominates dense scenarios.
-	ids      []hostid.ID
-	idsDirty bool
+	// cand is PageGrid's candidate scratch, reused across pages so the
+	// hot path stays allocation-free.
+	cand []hostid.ID
 
 	// PagesSent counts individual paging transmissions, for overhead
 	// reporting.
@@ -92,26 +97,16 @@ type Bus struct {
 	GridPagesSent uint64
 	// PagesDropped counts wakeups suppressed by DropHook.
 	PagesDropped uint64
+	// GridProbes counts the hosts grid pages examined: one per candidate
+	// per delivered page. It measures paging work, not model state, so it
+	// never reaches stored results.
+	GridProbes uint64
 
 	// DropHook, when non-nil, is consulted once for each wakeup the bus
 	// would otherwise deliver (the target is in range and asleep);
 	// returning true suppresses that wakeup (fault injection: paging
 	// loss). Dropped wakeups are counted in PagesDropped.
 	DropHook func(target hostid.ID) bool
-
-	// Scan, when non-nil, replaces PageGrid's allocate-sort-sweep over
-	// every attached switch with a caller-supplied scanner (the sharded
-	// engine's worker pool): Scan must call probe for each candidate
-	// host — in any order, concurrently if it likes, since the probe is
-	// a pure read of position, cell and range — and return the IDs that
-	// passed, in ascending order. [xlo, xhi] bounds the x-coordinates a
-	// passing host can have: the probe provably rejects any host whose
-	// position x lies outside it, so the scanner may skip hosts it can
-	// prove are elsewhere. The
-	// stateful tail (sleep check, drop draw, wake) stays here, serial
-	// and in ID order, so the hosts woken and the randomness consumed
-	// are byte-identical to the reference sweep.
-	Scan func(probe func(target hostid.ID) bool, xlo, xhi float64) []hostid.ID
 }
 
 // DefaultLatency is the paging delay: the time for the RAS to receive a
@@ -119,16 +114,21 @@ type Bus struct {
 // is generous for RF-tag hardware and small against packet timescales.
 const DefaultLatency = 2e-3
 
-// NewBus creates a paging bus over the given grid partition. rangeM
-// bounds paging reach (use the radio range) and latency is the
-// page-to-wake delay.
-func NewBus(engine *sim.Engine, partition *grid.Partition, rangeM, latency float64) *Bus {
+// NewBus creates a paging bus over the given grid partition. near
+// supplies grid-page candidates (use the radio channel), rangeM bounds
+// paging reach (use the radio range) and latency is the page-to-wake
+// delay.
+func NewBus(engine *sim.Engine, partition *grid.Partition, near Candidates, rangeM, latency float64) *Bus {
+	if near == nil {
+		panic("ras: nil candidate source")
+	}
 	if rangeM <= 0 || latency < 0 {
 		panic("ras: invalid range or latency")
 	}
 	return &Bus{
 		engine:    engine,
 		partition: partition,
+		near:      near,
 		rangeM:    rangeM,
 		latency:   latency,
 		switches:  make(map[hostid.ID]*Switch),
@@ -142,44 +142,11 @@ func (b *Bus) Attach(id hostid.ID, sw *Switch) {
 		panic("ras: incomplete switch registration")
 	}
 	b.switches[id] = sw
-	b.idsDirty = true
 }
 
 // Detach removes a host's switch (battery death).
 func (b *Bus) Detach(id hostid.ID) {
 	delete(b.switches, id)
-	b.idsDirty = true
-}
-
-// sortedIDs returns every attached ID in ascending order, rebuilding
-// the cached slice only after Attach/Detach changed membership.
-func (b *Bus) sortedIDs() []hostid.ID {
-	if b.idsDirty {
-		b.ids = b.ids[:0]
-		for id := range b.switches { //simlint:ordered output is sorted below
-
-			b.ids = append(b.ids, id)
-		}
-		slices.Sort(b.ids)
-		b.idsDirty = false
-	}
-	return b.ids
-}
-
-// wakeAll applies the stateful tail of a grid page to the hosts a Scan
-// admitted: sleep check, paging-loss draw, wakeup — serial, in the
-// given (ascending) order, matching the reference sweep draw for draw.
-func (b *Bus) wakeAll(ids []hostid.ID) {
-	for _, id := range ids {
-		sw := b.switches[id]
-		if sw.Asleep() {
-			if b.DropHook != nil && b.DropHook(id) {
-				b.PagesDropped++
-				continue
-			}
-			sw.Wake(PagedGrid)
-		}
-	}
 }
 
 // Page transmits the paging sequence of the target host from the given
@@ -208,48 +175,23 @@ func (b *Bus) Page(from geom.Point, target hostid.ID) {
 // PageGrid transmits the broadcast sequence of cell c from the given
 // location: every sleeping host currently inside c and within paging
 // range wakes with reason PagedGrid.
+//
+// Only the candidates within paging range of the pager are probed. They
+// arrive in ascending ID order and include every host the exact range
+// check below can admit, so the hosts woken and the DropHook draws match
+// a sweep over the whole population, in the same order.
 func (b *Bus) PageGrid(from geom.Point, c grid.Coord) {
 	b.GridPagesSent++
 	b.engine.Schedule(b.latency, func() {
-		if b.Scan != nil {
-			// Probe/apply split: the probe is a pure function of the
-			// delivery instant (position, cell membership, range), so the
-			// scanner may evaluate it in parallel — and, given the paged
-			// cell's x-span, skip hosts provably outside it; the stateful
-			// apply below runs serial in ascending ID order, which is
-			// exactly the order the reference sweep visits, wakes, and
-			// draws in.
-			// The admissible x-span is the paged cell's bounds — except
-			// that CellOf clamps out-of-area positions into the edge
-			// cells, so the outermost columns admit any overhang on
-			// their open side.
-			span := b.partition.Bounds(c)
-			xlo, xhi := span.Min.X, span.Max.X
-			if c.X == 0 {
-				xlo = math.Inf(-1)
-			}
-			if c.X == b.partition.Cols()-1 {
-				xhi = math.Inf(1)
-			}
-			ids := b.Scan(func(id hostid.ID) bool {
-				sw, ok := b.switches[id]
-				if !ok {
-					return false
-				}
-				pos := sw.Position()
-				return b.partition.CellOf(pos) == c && from.Dist(pos) <= b.rangeM
-			}, xlo, xhi)
-			b.wakeAll(ids)
-			return
-		}
-		// Wake in ID order so runs are reproducible.
-		for _, id := range b.sortedIDs() {
-			sw := b.switches[id]
-			pos := sw.Position()
-			if b.partition.CellOf(pos) != c {
+		b.cand = b.near.NearIDs(from, b.rangeM, b.cand[:0])
+		b.GridProbes += uint64(len(b.cand))
+		for _, id := range b.cand {
+			sw, ok := b.switches[id]
+			if !ok {
 				continue
 			}
-			if from.Dist(pos) > b.rangeM {
+			pos := sw.Position()
+			if b.partition.CellOf(pos) != c || from.Dist(pos) > b.rangeM {
 				continue
 			}
 			if sw.Asleep() {

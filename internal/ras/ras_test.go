@@ -1,6 +1,7 @@
 package ras
 
 import (
+	"slices"
 	"testing"
 
 	"ecgrid/internal/geom"
@@ -26,9 +27,26 @@ func (f *fakeSwitch) register(b *Bus, id hostid.ID) {
 	})
 }
 
-func newBus(e *sim.Engine) *Bus {
+// population is the reference candidate source: every attached switch,
+// ascending — the full sweep an indexed grid page must reproduce.
+type population struct{ b *Bus }
+
+func (s *population) NearIDs(_ geom.Point, _ float64, dst []hostid.ID) []hostid.ID {
+	start := len(dst)
+	for id := range s.b.switches {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+func newBus(e *sim.Engine) *Bus { return newBusRange(e, 250) }
+
+func newBusRange(e *sim.Engine, rangeM float64) *Bus {
 	p := grid.NewPartition(geom.NewRect(geom.Point{}, geom.Point{X: 1000, Y: 1000}), 100)
-	return NewBus(e, p, 250, DefaultLatency)
+	src := &population{}
+	src.b = NewBus(e, p, src, rangeM, DefaultLatency)
+	return src.b
 }
 
 func TestPageWakesSleepingHost(t *testing.T) {
@@ -129,8 +147,7 @@ func TestPageGridWakesOnlyHostsInCell(t *testing.T) {
 func TestPageGridRespectsRange(t *testing.T) {
 	e := sim.NewEngine()
 	// Tiny range: the in-cell host is too far from the pager.
-	p := grid.NewPartition(geom.NewRect(geom.Point{}, geom.Point{X: 1000, Y: 1000}), 100)
-	b := NewBus(e, p, 10, DefaultLatency)
+	b := newBusRange(e, 10)
 	f := &fakeSwitch{pos: geom.Point{X: 199, Y: 199}, asleep: true}
 	f.register(b, 1)
 	b.PageGrid(geom.Point{X: 101, Y: 101}, grid.Coord{X: 1, Y: 1})
@@ -182,12 +199,19 @@ func TestAttachValidation(t *testing.T) {
 func TestNewBusValidation(t *testing.T) {
 	e := sim.NewEngine()
 	p := grid.NewPartition(geom.NewRect(geom.Point{}, geom.Point{X: 100, Y: 100}), 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBus with zero range did not panic")
-		}
-	}()
-	NewBus(e, p, 0, 0.001)
+	for name, build := range map[string]func(){
+		"zero range": func() { NewBus(e, p, &population{}, 0, 0.001) },
+		"nil source": func() { NewBus(e, p, nil, 250, 0.001) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBus with %s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestWakeReasonString(t *testing.T) {

@@ -121,6 +121,13 @@ func (r *relaySender) SubmitData(pkt *routing.DataPacket) {
 // invalid configuration (catch with Validate first if the config is
 // user-supplied).
 func Run(cfg scenario.Config) *Results {
+	res, _ := run(cfg)
+	return res
+}
+
+// run is Run that also hands back the paging bus, whose work counters
+// (GridProbes) are runtime-only and never part of Results.
+func run(cfg scenario.Config) (*Results, *ras.Bus) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -137,7 +144,7 @@ func Run(cfg scenario.Config) *Results {
 	area := geom.NewRect(geom.Point{}, geom.Point{X: cfg.AreaSize, Y: cfg.AreaSize})
 	part := grid.NewPartition(area, cfg.GridSize)
 	channel := radio.NewChannel(engine, rng, cfg.Radio)
-	bus := ras.NewBus(engine, part, cfg.Radio.Range, ras.DefaultLatency)
+	bus := ras.NewBus(engine, part, channel, cfg.Radio.Range, ras.DefaultLatency)
 	col := metrics.New()
 	if cfg.Trace != nil {
 		cfg.Trace.AttachRadio(channel)
@@ -493,7 +500,6 @@ func Run(cfg scenario.Config) *Results {
 		// run serially — results do not depend on the worker count.
 		helpers := shard.AcquireWorkers(cfg.Shards - 1)
 		pool := shard.NewPool(plan, nodes, helpers)
-		bus.Scan = pool.Scan
 		maxBytes := cfg.PacketBytes
 		if gen != nil && gen.Traffic != nil && gen.Traffic.RespBytes > maxBytes {
 			maxBytes = gen.Traffic.RespBytes
@@ -502,7 +508,6 @@ func Run(cfg scenario.Config) *Results {
 			maxBytes+routing.DataHeader+radio.MACHeaderBytes, ras.DefaultLatency)
 		coord := shard.NewCoordinator(engine, pool, shard.DefaultWindow, lookahead, rng)
 		coord.Run(cfg.Duration)
-		bus.Scan = nil
 		pool.Close()
 		shard.ReleaseWorkers(helpers)
 		st := coord.Stats()
@@ -570,7 +575,7 @@ func Run(cfg scenario.Config) *Results {
 			res.Protocol[k] += v
 		}
 	}
-	return res
+	return res, bus
 }
 
 func coreStats(s *core.Stats) map[string]uint64 {

@@ -39,7 +39,7 @@ func TestECGRIDSoakInvariants(t *testing.T) {
 	part := grid.NewPartition(area, 100)
 	rcfg := radio.DefaultConfig()
 	channel := radio.NewChannel(engine, rng, rcfg)
-	bus := ras.NewBus(engine, part, rcfg.Range, ras.DefaultLatency)
+	bus := ras.NewBus(engine, part, channel, rcfg.Range, ras.DefaultLatency)
 
 	const n = 100
 	hosts := make([]*node.Host, n)

@@ -98,7 +98,7 @@ func (c *Coordinator) Run(until float64) float64 {
 		if next > until {
 			next = until
 		}
-		c.pool.Advance(t, next+c.lookahead)
+		c.pool.Advance(next + c.lookahead)
 		c.audit(next + c.lookahead)
 		c.engine.Run(next)
 		c.stats.Windows++

@@ -10,24 +10,18 @@ import (
 )
 
 // Node is the per-host surface the pool needs: identity, liveness, the
-// memoized current position (for rebalancing), the ability to
-// materialize mobility history ahead of time, and a containment proof
-// for the scan-pruning pin test. internal/node's Host implements it.
-//
-// StaysWithin must be exact-or-false: answer true only when the host
-// provably cannot leave bounds anywhere in [from, until]. A false
-// negative costs a redundant probe; a false positive would prune a host
-// a reference scan admits and break byte-identity.
+// memoized current position (for rebalancing), and the ability to
+// materialize mobility history ahead of time. internal/node's Host
+// implements it.
 type Node interface {
 	ID() hostid.ID
 	Dead() bool
 	Position() geom.Point
 	AdvanceMobility(t float64)
-	StaysWithin(from, until float64, bounds geom.Rect) bool
 }
 
-// Pool runs the parallel phases of a sharded run: the per-window
-// mobility advance and the per-event paging-scan probe. It owns a fixed
+// Pool runs the parallel phase of a sharded run: the per-window
+// mobility advance. It owns a fixed
 // set of helper goroutines; the caller's goroutine always participates
 // too, so a pool with zero helpers degrades to a plain serial loop.
 //
@@ -38,28 +32,19 @@ type Node interface {
 type Pool struct {
 	plan  *Plan
 	nodes []Node
-	ids   []hostid.ID // nodes[i].ID(), cached to keep hot loops monomorphic
 
-	keep    []bool         // Scan scratch: per-host probe verdicts
-	out     []hostid.ID    // Scan scratch: the returned ID slice
-	pinned  []bool         // per-host pin verdicts from the last Advance
 	jobs    chan poolJob   // nil when the pool has no helpers
 	helpers int            // goroutines beyond the caller's own
 	wg      sync.WaitGroup // helper lifetime
 	barrier sync.WaitGroup // run's per-phase barrier, reused across phases
 
-	// Advance and Scan run every window (Scan every paged event), so
-	// their per-shard closures are built once here and parameterized
-	// through these fields — a fresh capturing closure per call would
-	// escape into the jobs channel and allocate in the steady state. The
-	// fields are written before run dispatches and only read by workers,
-	// so the channel send orders the accesses.
-	advanceFn      func(s int)
-	advFrom, advTo float64
-	scanFn         func(s int)
-	scanProbe      func(target hostid.ID) bool
-	scanXlo        float64
-	scanXhi        float64
+	// Advance runs every window, so its per-shard closure is built once
+	// here and parameterized through advTo — a fresh capturing closure
+	// per call would escape into the jobs channel and allocate in the
+	// steady state. advTo is written before run dispatches and only read
+	// by workers, so the channel send orders the accesses.
+	advanceFn func(s int)
+	advTo     float64
 
 	// advancedTo[s] is the horizon shard s's mobility has been
 	// materialized to — written only by the worker running shard s's
@@ -82,16 +67,9 @@ func NewPool(plan *Plan, nodes []Node, helpers int) *Pool {
 	p := &Pool{
 		plan:       plan,
 		nodes:      nodes,
-		ids:        make([]hostid.ID, len(nodes)),
-		keep:       make([]bool, len(nodes)),
-		pinned:     make([]bool, len(nodes)),
 		advancedTo: make([]float64, plan.k),
 	}
-	for i, n := range nodes {
-		p.ids[i] = n.ID()
-	}
 	p.advanceFn = p.advanceShard
-	p.scanFn = p.scanShard
 	if helpers > plan.k-1 {
 		helpers = plan.k - 1
 	}
@@ -146,84 +124,24 @@ func (p *Pool) run(fn func(s int)) {
 	p.stallNS.Add(time.Since(start).Nanoseconds()) //simlint:walltime — stall telemetry only
 }
 
-// Advance materializes every live host's mobility history over the
-// window [from, to], each shard's hosts on that shard's worker. Dead
-// hosts are skipped: their radios are detached, so nothing will read
-// their position again.
-//
-// While it is there, each worker also classifies its hosts for Scan's
-// strip pruning: a host whose trajectory provably stays inside the
-// shard's pin rectangle for the whole window is pinned; everything else
-// (dead, freshly handed in near a seam, or fast enough to cross) is a
-// straggler that every Scan still probes. The pin test runs after the
-// mobility advance on purpose — it then walks legs that already exist
-// and consumes no random draws.
-func (p *Pool) Advance(from, to float64) {
-	p.advFrom, p.advTo = from, to
+// Advance materializes every live host's mobility history out to time
+// to, each shard's hosts on that shard's worker. Dead hosts are skipped:
+// their radios are detached, so nothing will read their position again.
+func (p *Pool) Advance(to float64) {
+	p.advTo = to
 	p.run(p.advanceFn)
 }
 
 // advanceShard is Advance's per-shard body (p.advanceFn), parameterized
-// by p.advFrom/p.advTo.
+// by p.advTo.
 func (p *Pool) advanceShard(s int) {
-	from, to := p.advFrom, p.advTo
-	rect := p.plan.StripRect(s)
+	to := p.advTo
 	for _, i := range p.plan.lists[s] {
-		n := p.nodes[i]
-		if n.Dead() {
-			p.pinned[i] = false
-			continue
+		if n := p.nodes[i]; !n.Dead() {
+			n.AdvanceMobility(to)
 		}
-		n.AdvanceMobility(to)
-		p.pinned[i] = n.StaysWithin(from, to, rect)
 	}
 	p.advancedTo[s] = to
-}
-
-// Scan evaluates probe against every host — each shard's worker probes
-// the hosts it owns, so a pure probe (position, cell, range) runs
-// race-free in parallel — and returns the IDs that passed, ascending.
-// Host index equals host ID here (the runner numbers hosts densely),
-// which is what makes the index-order sweep an ID-order result. The
-// returned slice is reused by the next Scan.
-//
-// [xlo, xhi] is the x-span the probe can possibly admit (the paged
-// cell's bounds): a shard whose pin rectangle misses the span skips its
-// pinned hosts — they are provably inside the rectangle at the probe
-// instant, so the reference probe would reject them — and probes only
-// its stragglers. Callers that cannot bound the probe pass an infinite
-// span and every host is probed.
-func (p *Pool) Scan(probe func(target hostid.ID) bool, xlo, xhi float64) []hostid.ID {
-	p.scanProbe, p.scanXlo, p.scanXhi = probe, xlo, xhi
-	p.run(p.scanFn)
-	p.scanProbe = nil // drop the caller's closure; it may capture a frame
-	out := p.out[:0]
-	for i, pass := range p.keep {
-		if pass {
-			out = append(out, p.ids[i])
-		}
-	}
-	p.out = out
-	return out
-}
-
-// scanShard is Scan's per-shard body (p.scanFn), parameterized by
-// p.scanProbe and the [p.scanXlo, p.scanXhi] admissible span.
-func (p *Pool) scanShard(s int) {
-	probe := p.scanProbe
-	if r := p.plan.StripRect(s); r.Max.X < p.scanXlo || r.Min.X > p.scanXhi {
-		for _, i := range p.plan.lists[s] {
-			if p.pinned[i] {
-				p.keep[i] = false // scratch reuse: stale verdicts must not leak
-			} else {
-				p.keep[i] = probe(p.ids[i])
-			}
-		}
-		return
-	}
-	for _, i := range p.plan.lists[s] {
-		p.keep[i] = probe(p.ids[i])
-	}
 }
 
 // Rebalance re-homes ownership to the hosts' current positions and

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
 	"ecgrid/internal/geom"
@@ -37,13 +36,6 @@ func (f *fakeNode) AdvanceMobility(t float64) {
 	}
 }
 
-// StaysWithin is exact for the straight-line trajectory: x is monotone
-// and y constant, so containment at both endpoints is containment
-// throughout.
-func (f *fakeNode) StaysWithin(from, until float64, bounds geom.Rect) bool {
-	return bounds.Contains(f.at(from)) && bounds.Contains(f.at(until))
-}
-
 func makeFakes(starts []geom.Point) ([]*fakeNode, []Node) {
 	fakes := make([]*fakeNode, len(starts))
 	nodes := make([]Node, len(starts))
@@ -61,7 +53,7 @@ func TestPoolAdvanceReachesEveryLiveHost(t *testing.T) {
 		fakes, nodes := makeFakes(starts)
 		fakes[5].dead = true
 		pool := NewPool(NewPlan(part, 4, starts, nil), nodes, helpers)
-		pool.Advance(0, 17.5)
+		pool.Advance(17.5)
 		for i, f := range fakes {
 			want := 17.5
 			if f.dead {
@@ -80,126 +72,6 @@ func TestPoolAdvanceReachesEveryLiveHost(t *testing.T) {
 	}
 }
 
-func TestPoolScanMatchesSerialFilterInIDOrder(t *testing.T) {
-	part := testPartition(1000, 100)
-	starts := uniformStarts(57, 1000)
-	probe := func(id hostid.ID) bool { return id%3 == 0 || id%7 == 0 }
-	var want []hostid.ID
-	for i := range starts {
-		if probe(hostid.ID(i)) {
-			want = append(want, hostid.ID(i))
-		}
-	}
-	for _, helpers := range []int{0, 1, 6} {
-		_, nodes := makeFakes(starts)
-		pool := NewPool(NewPlan(part, 7, starts, nil), nodes, helpers)
-		for round := 0; round < 3; round++ { // scratch reuse must not leak state
-			got := pool.Scan(probe, math.Inf(-1), math.Inf(1))
-			if len(got) != len(want) {
-				t.Fatalf("helpers=%d round %d: %d ids, want %d", helpers, round, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("helpers=%d round %d: ids[%d]=%d, want %d", helpers, round, j, got[j], want[j])
-				}
-			}
-		}
-		pool.Close()
-	}
-}
-
-func TestPoolScanAfterRebalanceStillCoversEveryHost(t *testing.T) {
-	part := testPartition(1000, 100)
-	starts := uniformStarts(30, 1000)
-	fakes, nodes := makeFakes(starts)
-	pool := NewPool(NewPlan(part, 3, starts, nil), nodes, 2)
-	defer pool.Close()
-	// Shift everyone right by 400 m and rebalance: ownership moves, the
-	// scan must still probe each host exactly once, ascending.
-	now := 10.0
-	for _, f := range fakes {
-		f.vx = 40
-		f.clock = func() float64 { return now }
-	}
-	if moved := pool.Rebalance(); moved == 0 {
-		t.Fatal("no handoffs after everyone moved 400 m")
-	}
-	got := pool.Scan(func(hostid.ID) bool { return true }, math.Inf(-1), math.Inf(1))
-	if len(got) != len(starts) {
-		t.Fatalf("scan returned %d ids, want %d", len(got), len(starts))
-	}
-	for j, id := range got {
-		if id != hostid.ID(j) {
-			t.Fatalf("ids[%d]=%d after rebalance", j, id)
-		}
-	}
-}
-
-// TestPoolScanPrunesPinnedHostsOutsideSpan drives the strip-pruning
-// fast path: after an Advance has pinned the hosts that provably stay
-// inside their strip, a Scan bounded to a far cell's x-span must skip
-// exactly the pinned hosts of non-overlapping strips — and still return
-// the same IDs, in the same order, as an unpruned serial filter.
-func TestPoolScanPrunesPinnedHostsOutsideSpan(t *testing.T) {
-	part := testPartition(1000, 100)
-	starts := uniformStarts(40, 1000)
-	const now, xlo, xhi = 1.0, 800.0, 900.0 // paging a column-8 cell
-	for _, helpers := range []int{0, 3} {
-		fakes, nodes := makeFakes(starts)
-		fakes[1].dead = true // dead: never pinned, still probed
-		fakes[2].vx = 500    // leaves its strip inside the window: straggler
-		for _, f := range fakes {
-			f.clock = func() float64 { return now }
-		}
-		plan := NewPlan(part, 4, starts, nil)
-		pool := NewPool(plan, nodes, helpers)
-		pool.Advance(0, 2)
-
-		probed := make([]bool, len(starts))
-		probe := func(id hostid.ID) bool {
-			probed[id] = true
-			f := fakes[id]
-			if f.dead {
-				return false
-			}
-			x := f.at(now).X
-			return x >= xlo && x <= xhi
-		}
-		var want []hostid.ID
-		for i, f := range fakes {
-			if x := f.at(now).X; !f.dead && x >= xlo && x <= xhi {
-				want = append(want, hostid.ID(i))
-			}
-		}
-		got := pool.Scan(probe, xlo, xhi)
-		if len(got) != len(want) {
-			t.Fatalf("helpers=%d: %v ids, want %v", helpers, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("helpers=%d: ids[%d]=%d, want %d", helpers, j, got[j], want[j])
-			}
-		}
-
-		pruned := 0
-		for i := range fakes {
-			r := plan.StripRect(plan.Owner(i))
-			overlaps := r.Max.X >= xlo && r.Min.X <= xhi
-			wantProbe := overlaps || i == 1 || i == 2 // stragglers always probed
-			if probed[i] != wantProbe {
-				t.Errorf("helpers=%d: host %d probed=%v, want %v", helpers, i, probed[i], wantProbe)
-			}
-			if !wantProbe {
-				pruned++
-			}
-		}
-		if pruned == 0 {
-			t.Fatal("no host was pruned: the fast path never ran")
-		}
-		pool.Close()
-	}
-}
-
 func TestPoolHelperClamp(t *testing.T) {
 	part := testPartition(1000, 100)
 	starts := uniformStarts(8, 1000)
@@ -207,6 +79,6 @@ func TestPoolHelperClamp(t *testing.T) {
 	// More helpers than shards-1: the pool must clamp, not leak
 	// goroutines that would never receive work.
 	pool := NewPool(NewPlan(part, 2, starts, nil), nodes, 16)
-	pool.Advance(0, 1)
+	pool.Advance(1)
 	pool.Close() // hangs if a helper is stuck
 }

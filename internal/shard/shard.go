@@ -35,13 +35,6 @@
 //     reference does. Position reads inside events become pure lookups
 //     into history the advance phase already wrote.
 //
-// The same worker pool also accelerates the hottest per-event scan —
-// the RAS bus's grid-page sweep over every attached switch — by
-// splitting it into a parallel pure probe (position, cell membership,
-// range) and a serial ascending-ID apply (sleep checks, paging-loss
-// draws, wakeups), which provably admits the same hosts in the same
-// order as the reference's sort-then-scan loop.
-//
 // At each window boundary the plan re-homes hosts to the strip of their
 // current column; each transfer is a boundary event (counted in
 // Stats.BoundaryEvents). The lookahead margin guarantees a handed-off
@@ -76,8 +69,7 @@ type Plan struct {
 	group    []int // host index -> group id, -1 when ungrouped
 	leader   []int // host index -> lowest-index member of its group (itself when ungrouped)
 	members  map[int][]int
-	lists    [][]int     // shard -> owned host indices, ascending
-	strips   []geom.Rect // shard -> pin rectangle, see StripRect
+	lists    [][]int // shard -> owned host indices, ascending
 
 	// OnHandoff, when non-nil, observes every ownership transfer made by
 	// Rebalance: host moved from shard `from` to shard `to`. Tests use it
@@ -134,28 +126,6 @@ func NewPlan(part *grid.Partition, k int, starts []geom.Point, groups []int) *Pl
 		}
 	}
 
-	// Pin rectangles: each strip's x-span expanded by one cell size on
-	// every side (and past the area edges on the outer strips). The slack
-	// lets hosts grazing a strip boundary keep their pin; the price is
-	// that pages in the one-cell ring beside a strip never skip it.
-	p.strips = make([]geom.Rect, k)
-	area := part.Area()
-	for col := 0; col < cols; col++ {
-		b := part.Bounds(grid.Coord{X: col})
-		r := geom.Rect{
-			Min: geom.Point{X: b.Min.X, Y: area.Min.Y},
-			Max: geom.Point{X: b.Max.X, Y: area.Max.Y},
-		}
-		if s := p.colShard[col]; p.strips[s].Width() == 0 {
-			p.strips[s] = r
-		} else {
-			p.strips[s] = p.strips[s].Union(r)
-		}
-	}
-	for s := range p.strips {
-		p.strips[s] = p.strips[s].Expand(part.CellSize())
-	}
-
 	for i := range starts {
 		p.owner[i] = p.colShard[part.CellOf(starts[i]).X]
 		p.group[i] = -1
@@ -191,13 +161,6 @@ func (p *Plan) List(s int) []int { return p.lists[s] }
 func (p *Plan) ShardOf(pt geom.Point) int {
 	return p.colShard[p.part.CellOf(pt).X]
 }
-
-// StripRect returns shard s's pin rectangle: the x-span of its
-// contiguous grid columns expanded by one cell size on every side. A
-// host provably inside it for a whole window (the pool's pin test)
-// cannot be in any grid cell whose x-span misses the rectangle, which
-// is what lets Scan skip whole strips per paged cell.
-func (p *Plan) StripRect(s int) geom.Rect { return p.strips[s] }
 
 // Rebalance re-homes each host to the strip of its current position
 // (grouped hosts follow their leader, so a group always moves whole)
