@@ -45,7 +45,7 @@ func TestTxFailedPurgesRouteAndRediscovers(t *testing.T) {
 	now := tb.engine.Now()
 	// Poison the source's table with a dead next hop, then fail a frame
 	// on it: TxFailed must purge and re-route via discovery.
-	src.table.Update(routing.AODVEntry{Dst: dst.host.ID(), NextHop: 77, Seq: 9}, now)
+	src.Table.Update(routing.AODVEntry{Dst: dst.host.ID(), NextHop: 77, Seq: 9}, now)
 	p := pkt(1, src.host.ID(), dst.host.ID(), now)
 	tb.engine.Schedule(0.01, func() {
 		src.TxFailed(&radio.Frame{
@@ -54,11 +54,51 @@ func TestTxFailedPurgesRouteAndRediscovers(t *testing.T) {
 		})
 	})
 	tb.engine.Run(10)
-	if _, ok := src.table.Lookup(dst.host.ID(), tb.engine.Now()); !ok {
+	if _, ok := src.Table.Lookup(dst.host.ID(), tb.engine.Now()); !ok {
 		t.Fatal("no fresh route after repair")
 	}
 	if len(tb.delivered) != 1 {
 		t.Fatalf("delivered %d after link-failure repair, want 1", len(tb.delivered))
+	}
+}
+
+func TestTxFailedRediscoversOwnPacketFirst(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100, math.Inf(1), true)
+	alt := tb.add(150, 100, math.Inf(1), true)
+	tb.start()
+	tb.engine.Run(5)
+	// The frame died on a stale hop while the table already holds a
+	// route via another: GAF re-discovers its own packet regardless.
+	now := tb.engine.Now()
+	src.Table.Update(routing.AODVEntry{Dst: 9, NextHop: alt.host.ID(), Seq: 3}, now)
+	rreqs, fwd := src.Stats.RREQsSent, src.Stats.DataForwarded
+	src.TxFailed(&radio.Frame{
+		Kind: "data", Src: src.host.ID(), Dst: 77, Bytes: 574,
+		Payload: &routing.Data{Packet: pkt(1, src.host.ID(), 9, now)},
+	})
+	if src.Stats.RREQsSent != rreqs+1 || src.Stats.DataForwarded != fwd {
+		t.Fatalf("RREQs %d→%d, forwarded %d→%d; want a new discovery",
+			rreqs, src.Stats.RREQsSent, fwd, src.Stats.DataForwarded)
+	}
+}
+
+func TestTxFailedTransitSendsRERR(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100, math.Inf(1), true)
+	mid := tb.add(300, 100, 500, false)
+	tb.start()
+	tb.engine.Run(5)
+	// mid's last hop to the destination failed and it knows no other
+	// route: drop and report back, even on the final hop.
+	now := tb.engine.Now()
+	mid.Table.Update(routing.AODVEntry{Dst: src.host.ID(), NextHop: src.host.ID(), Seq: 5}, now)
+	mid.TxFailed(&radio.Frame{
+		Kind: "data", Src: mid.host.ID(), Dst: 9, Bytes: 574,
+		Payload: &routing.Data{Packet: pkt(1, src.host.ID(), 9, now)},
+	})
+	if mid.Stats.DataDropped != 1 || mid.Stats.RERRsSent != 1 {
+		t.Fatalf("transit link failure: %+v, want one drop and one RERR", mid.Stats)
 	}
 }
 
@@ -94,8 +134,8 @@ func TestTransitNoRouteSendsRERRToSource(t *testing.T) {
 	now := tb.engine.Now()
 	// The source believes mid can reach 99; mid has no route and must
 	// drop + RERR, and the source must purge its entry.
-	src.table.Update(routing.AODVEntry{Dst: 99, NextHop: mid.host.ID(), Seq: 5}, now)
-	mid.table.Update(routing.AODVEntry{Dst: src.host.ID(), NextHop: src.host.ID(), Seq: 5}, now)
+	src.Table.Update(routing.AODVEntry{Dst: 99, NextHop: mid.host.ID(), Seq: 5}, now)
+	mid.Table.Update(routing.AODVEntry{Dst: src.host.ID(), NextHop: src.host.ID(), Seq: 5}, now)
 	tb.engine.Schedule(0.01, func() {
 		src.SubmitData(pkt(1, src.host.ID(), hostid.ID(99), tb.engine.Now()))
 	})
@@ -103,7 +143,7 @@ func TestTransitNoRouteSendsRERRToSource(t *testing.T) {
 	if mid.Stats.RERRsSent == 0 {
 		t.Fatal("transit forwarder sent no RERR")
 	}
-	if _, ok := src.table.Lookup(99, tb.engine.Now()); ok {
+	if _, ok := src.Table.Lookup(99, tb.engine.Now()); ok {
 		t.Fatal("source kept the broken route after RERR")
 	}
 }

@@ -69,28 +69,23 @@ type Options struct {
 	// TsMax caps the sleep period; the dwell estimate (GAF-ma) bounds
 	// it further.
 	TsMax float64
-	// RouteTTL and DupTTL mirror the AODV parameters.
-	RouteTTL float64
-	DupTTL   float64
-	// BufferPerDest bounds the origin's pending-packet buffer.
-	BufferPerDest int
-	// DiscoveryTimeout and DiscoveryRetries govern AODV route requests.
-	DiscoveryTimeout float64
-	DiscoveryRetries int
+	routing.AODVOptions
 }
 
 // DefaultOptions returns the configuration used in the evaluation.
 func DefaultOptions() Options {
 	return Options{
-		Td:               1.0,
-		TaFrac:           0.5,
-		TaMax:            60,
-		TsMax:            60,
-		RouteTTL:         30,
-		DupTTL:           30,
-		BufferPerDest:    32,
-		DiscoveryTimeout: 0.5,
-		DiscoveryRetries: 2,
+		Td:     1.0,
+		TaFrac: 0.5,
+		TaMax:  60,
+		TsMax:  60,
+		AODVOptions: routing.AODVOptions{
+			RouteTTL:         30,
+			DupTTL:           30,
+			BufferPerDest:    32,
+			DiscoveryTimeout: 0.5,
+			DiscoveryRetries: 2,
+		},
 	}
 }
 
@@ -103,31 +98,22 @@ func (o Options) Validate() error {
 		return fmt.Errorf("gaf: TaFrac %v must be in (0, 1]", o.TaFrac)
 	case o.TaMax <= 0 || o.TsMax <= 0:
 		return fmt.Errorf("gaf: TaMax/TsMax (%v, %v) must be positive", o.TaMax, o.TsMax)
-	case o.DupTTL <= 0:
-		return fmt.Errorf("gaf: DupTTL %v must be positive", o.DupTTL)
-	case o.BufferPerDest <= 0:
-		return fmt.Errorf("gaf: BufferPerDest %d must be positive", o.BufferPerDest)
-	case o.DiscoveryTimeout <= 0 || o.DiscoveryRetries < 0:
-		return fmt.Errorf("gaf: invalid discovery parameters (%v, %d)", o.DiscoveryTimeout, o.DiscoveryRetries)
 	}
-	return nil
+	return o.AODVOptions.Validate()
 }
 
 // Stats counts protocol events on one host.
 type Stats struct {
 	DiscoveriesSent uint64
-	RREQsSent       uint64
-	RREPsSent       uint64
-	RERRsSent       uint64
-	DataForwarded   uint64
-	DataDelivered   uint64
-	DataDropped     uint64
-	SleepsEntered   uint64
-	ActivePeriods   uint64
+	routing.AODVStats
+	SleepsEntered uint64
+	ActivePeriods uint64
 }
 
-// Protocol is one host's GAF + AODV instance.
+// Protocol is one host's GAF + AODV instance. Endpoints never relay
+// floods, so routes avoid them; everyone else relays.
 type Protocol struct {
+	*routing.HostAODV
 	host *node.Host
 	opt  Options
 
@@ -143,23 +129,8 @@ type Protocol struct {
 	annTimer   *sim.Timer // discovery-message broadcast within Td
 	yielded    bool       // heard a higher-ranked grid-mate this round
 
-	table  *routing.AODVTable
-	dup    *routing.DupCache
-	buffer *routing.Buffer
-	disc   map[hostid.ID]*pendingDiscovery
-	seqNo  uint32
-	bcast  uint32
-
-	// OnDeliver receives packets whose final destination is this host.
-	OnDeliver func(pkt *routing.DataPacket)
-
 	stopped bool
 	Stats   Stats
-}
-
-type pendingDiscovery struct {
-	tries int
-	timer *sim.Timer
 }
 
 // NewAODV creates a plain AODV instance: the same host-by-host routing
@@ -178,15 +149,10 @@ func New(h *node.Host, opt Options, endpoint bool) *Protocol {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Protocol{
-		host:     h,
-		opt:      opt,
-		endpoint: endpoint,
-		table:    routing.NewAODVTable(opt.RouteTTL),
-		dup:      routing.NewDupCache(opt.DupTTL),
-		buffer:   routing.NewBuffer(opt.BufferPerDest),
-		disc:     make(map[hostid.ID]*pendingDiscovery),
-	}
+	p := &Protocol{host: h, opt: opt, endpoint: endpoint}
+	// Only endpoints and plain-AODV hosts originate, and they never
+	// sleep, so a discovery timer never fires while its host sleeps.
+	p.HostAODV = routing.NewHostAODV(h, opt.AODVOptions, p, &p.Stats.AODVStats, opt.DiscoveryTimeout)
 	p.stateTimer = sim.NewTimer(h.Engine(), p.stateExpired)
 	p.annTimer = sim.NewTimer(h.Engine(), p.announce)
 	return p
@@ -245,9 +211,7 @@ func (p *Protocol) Stopped() {
 	p.stopped = true
 	p.stateTimer.Stop()
 	p.annTimer.Stop()
-	for _, d := range p.disc { //simlint:ordered stops every timer; order-insensitive
-		d.timer.Stop()
-	}
+	p.HostAODV.Stop()
 }
 
 // Woken resumes the cycle after a sleep period.
@@ -276,19 +240,36 @@ func (p *Protocol) Receive(f *radio.Frame) {
 	if p.stopped {
 		return
 	}
-	switch m := f.Payload.(type) {
-	case *routing.Discovery:
+	if m, ok := f.Payload.(*routing.Discovery); ok {
 		p.handleDiscovery(m)
-	case *routing.AODVRREQ:
-		p.handleRREQ(m)
-	case *routing.AODVRREP:
-		p.handleRREP(m, f.Src)
-	case *routing.RERR:
-		p.handleRERR(m, f.Src)
-	case *routing.Data:
-		p.handleData(m)
-	default:
+		return
+	}
+	if !p.HostAODV.Receive(f) {
 		panic(fmt.Sprintf("gaf: unknown payload %T", f.Payload))
+	}
+}
+
+// --- routing.RelayPolicy ------------------------------------------------------
+
+// RelaysFloods reports whether the host relays route requests: every
+// host but a Model 1 endpoint.
+func (p *Protocol) RelaysFloods() bool { return !p.endpoint }
+
+// AnswersFor is false: a GAF host replies only for itself.
+func (p *Protocol) AnswersFor(hostid.ID) bool { return false }
+
+// HoldsForWake is false: GAF sends to a destination at once.
+func (p *Protocol) HoldsForWake(hostid.ID) bool { return false }
+
+// LinkFailed re-discovers the host's own packet; a transit packet takes
+// an alternate route or is dropped with a RERR to its source.
+func (p *Protocol) LinkFailed(pkt *routing.DataPacket, hop hostid.ID) {
+	if pkt.Src == p.host.ID() {
+		p.Rediscover(pkt)
+		return
+	}
+	if !p.Forward(pkt) {
+		p.DropAndReport(pkt)
 	}
 }
 
@@ -392,8 +373,7 @@ const sleepGrace = 0.01
 func (p *Protocol) handleDiscovery(m *routing.Discovery) {
 	if m.State == int(stateSleeping) {
 		// A peer is stepping down: purge routes through it.
-		for range p.table.RemoveVia(m.ID) {
-		}
+		p.Table.RemoveVia(m.ID)
 		return
 	}
 	if p.endpoint || p.host.Asleep() {

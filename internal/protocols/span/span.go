@@ -53,29 +53,26 @@ type Options struct {
 	// comfortably exceed BeaconPeriod: sleeping neighbors announce only
 	// once per cycle.
 	NeighborTTL float64
-	// AODV parameters, as in the gaf package.
-	RouteTTL         float64
-	DupTTL           float64
-	BufferPerDest    int
-	DiscoveryTimeout float64
-	DiscoveryRetries int
+	routing.AODVOptions
 }
 
 // DefaultOptions returns the configuration used by the extension
 // experiments.
 func DefaultOptions() Options {
 	return Options{
-		HelloPeriod:      1.0,
-		BeaconPeriod:     1.0,
-		AwakeFrac:        0.25,
-		CheckPeriod:      1.0,
-		WithdrawGrace:    4.0,
-		NeighborTTL:      4.0,
-		RouteTTL:         30,
-		DupTTL:           30,
-		BufferPerDest:    32,
-		DiscoveryTimeout: 0.6,
-		DiscoveryRetries: 3,
+		HelloPeriod:   1.0,
+		BeaconPeriod:  1.0,
+		AwakeFrac:     0.25,
+		CheckPeriod:   1.0,
+		WithdrawGrace: 4.0,
+		NeighborTTL:   4.0,
+		AODVOptions: routing.AODVOptions{
+			RouteTTL:         30,
+			DupTTL:           30,
+			BufferPerDest:    32,
+			DiscoveryTimeout: 0.6,
+			DiscoveryRetries: 3,
+		},
 	}
 }
 
@@ -88,12 +85,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("span: AwakeFrac %v must be in (0, 1)", o.AwakeFrac)
 	case o.NeighborTTL <= o.BeaconPeriod:
 		return fmt.Errorf("span: NeighborTTL %v must exceed BeaconPeriod %v", o.NeighborTTL, o.BeaconPeriod)
-	case o.BufferPerDest <= 0 || o.DupTTL <= 0 || o.DiscoveryTimeout <= 0 || o.DiscoveryRetries < 0:
-		return fmt.Errorf("span: invalid AODV parameters")
 	case o.WithdrawGrace < 0:
 		return fmt.Errorf("span: negative WithdrawGrace")
 	}
-	return nil
+	return o.AODVOptions.Validate()
 }
 
 // Stats counts protocol events on one host.
@@ -101,12 +96,8 @@ type Stats struct {
 	HellosSent     uint64
 	CoordAnnounces uint64
 	Withdrawals    uint64
-	RREQsSent      uint64
-	RREPsSent      uint64
-	DataForwarded  uint64
-	DataDelivered  uint64
-	DataDropped    uint64
-	SleepsEntered  uint64
+	routing.AODVStats
+	SleepsEntered uint64
 }
 
 // neighborInfo is what a host knows about a neighbor from its HELLOs.
@@ -128,8 +119,13 @@ type Hello struct {
 // neighbor.
 func helloBytes(neighbors int) int { return 16 + 4*neighbors }
 
-// Protocol is one host's Span instance.
+// Protocol is one host's Span instance. Only coordinators relay
+// floods; any awake host may originate, terminate, or answer for
+// itself. A final-hop coordinator holding traffic for a sleeping
+// destination buffers it until the destination's next wake beacon — the
+// PSM behaviour the paper contrasts with ECGRID's instant RAS paging.
 type Protocol struct {
+	*routing.HostAODV
 	host *node.Host
 	opt  Options
 
@@ -144,23 +140,8 @@ type Protocol struct {
 	cycleTimer  *sim.Timer // PSM duty cycle
 	pendingAnn  sim.Handle // randomized coordinator announcement backoff
 
-	table  *routing.AODVTable
-	dup    *routing.DupCache
-	buffer *routing.Buffer
-	disc   map[hostid.ID]*pendingDiscovery
-	seqNo  uint32
-	bcast  uint32
-
-	// OnDeliver receives packets whose final destination is this host.
-	OnDeliver func(pkt *routing.DataPacket)
-
 	stopped bool
 	Stats   Stats
-}
-
-type pendingDiscovery struct {
-	tries int
-	timer *sim.Timer
 }
 
 // New creates a Span instance for host h.
@@ -168,15 +149,8 @@ func New(h *node.Host, opt Options) *Protocol {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Protocol{
-		host:      h,
-		opt:       opt,
-		neighbors: make(map[hostid.ID]*neighborInfo),
-		table:     routing.NewAODVTable(opt.RouteTTL),
-		dup:       routing.NewDupCache(opt.DupTTL),
-		buffer:    routing.NewBuffer(opt.BufferPerDest),
-		disc:      make(map[hostid.ID]*pendingDiscovery),
-	}
+	p := &Protocol{host: h, opt: opt, neighbors: make(map[hostid.ID]*neighborInfo)}
+	p.HostAODV = routing.NewHostAODV(h, opt.AODVOptions, p, &p.Stats.AODVStats, opt.BeaconPeriod)
 	p.cycleTimer = sim.NewTimer(h.Engine(), p.cycleSleep)
 	return p
 }
@@ -209,9 +183,7 @@ func (p *Protocol) Stopped() {
 	p.cycleTimer.Stop()
 	p.host.Engine().Cancel(p.pendingAnn)
 	p.pendingAnn = sim.Handle{}
-	for _, d := range p.disc { //simlint:ordered stops every timer; order-insensitive
-		d.timer.Stop()
-	}
+	p.HostAODV.Stop()
 }
 
 // Woken resumes the awake part of the duty cycle.
@@ -233,19 +205,53 @@ func (p *Protocol) Receive(f *radio.Frame) {
 	if p.stopped {
 		return
 	}
-	switch m := f.Payload.(type) {
-	case *Hello:
+	if m, ok := f.Payload.(*Hello); ok {
 		p.handleHello(m)
-	case *routing.AODVRREQ:
-		p.handleRREQ(m)
-	case *routing.AODVRREP:
-		p.handleRREP(m, f.Src)
-	case *routing.RERR:
-		p.table.Remove(m.Dst)
-	case *routing.Data:
-		p.handleData(m)
-	default:
+		return
+	}
+	if !p.HostAODV.Receive(f) {
 		panic(fmt.Sprintf("span: unknown payload %T", f.Payload))
+	}
+}
+
+// --- routing.RelayPolicy -------------------------------------------------------
+
+// RelaysFloods reports whether the host relays route requests: only the
+// coordinator backbone does.
+func (p *Protocol) RelaysFloods() bool { return p.coordinator }
+
+// AnswersFor reports whether a coordinator replies for dst: a neighbour
+// heard recently, which may be asleep. The coordinator buffers traffic
+// for it until its wake beacon.
+func (p *Protocol) AnswersFor(dst hostid.ID) bool {
+	if !p.coordinator {
+		return false
+	}
+	n, ok := p.neighbors[dst]
+	return ok && p.host.Now()-n.seen <= p.opt.NeighborTTL
+}
+
+// HoldsForWake reports whether dst is a duty-cycled neighbour: it may be
+// asleep right now, so traffic waits for its beacon-window HELLO. If it
+// is awake, the flush happens within one beacon period anyway.
+func (p *Protocol) HoldsForWake(dst hostid.ID) bool {
+	n, ok := p.neighbors[dst]
+	return ok && !n.coordinator
+}
+
+// LinkFailed tries an alternate route first, then re-discovers the
+// host's own packet. A transit packet lost on its final hop to a
+// duty-cycled destination waits for the destination's beacon; any other
+// is dropped.
+func (p *Protocol) LinkFailed(pkt *routing.DataPacket, hop hostid.ID) {
+	switch {
+	case p.Forward(pkt):
+	case pkt.Src == p.host.ID():
+		p.Rediscover(pkt)
+	case pkt.Dst == hop:
+		p.Hold(pkt)
+	default:
+		p.Stats.DataDropped++
 	}
 }
 
@@ -320,9 +326,7 @@ func (p *Protocol) handleHello(m *Hello) {
 	}
 	// The sender is provably awake: flush anything held for its beacon
 	// window.
-	if p.buffer.Pending(m.ID) > 0 {
-		p.flushTo(m.ID)
-	}
+	p.FlushTo(m.ID)
 }
 
 // checkTick applies the coordinator eligibility and withdrawal rules.

@@ -258,3 +258,188 @@ func TestDutyCycleMath(t *testing.T) {
 		t.Fatalf("duty-cycle draw %v W, want ≈0.338", want)
 	}
 }
+
+// beforeDutyCycle is a time inside the first two hello periods: the
+// duty cycle has not started, so every host is awake.
+const beforeDutyCycle = 1.0
+
+func dataFrame(src, hop hostid.ID, p *routing.DataPacket) *radio.Frame {
+	return &radio.Frame{Kind: "data", Src: src, Dst: hop, Bytes: 574, Payload: &routing.Data{Packet: p}}
+}
+
+func TestTxFailedPurgesRouteAndRediscovers(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 500)
+	tb.add(300, 500) // bridge
+	dst := tb.add(500, 500)
+	tb.start()
+	tb.engine.Run(10)
+	// Poison the source's table with a dead next hop, then fail a frame
+	// on it: TxFailed must purge and re-route via discovery.
+	tb.engine.Schedule(0.01, func() {
+		now := tb.engine.Now()
+		tb.hosts[0].WakeByTimer()
+		src.Table.Update(routing.AODVEntry{Dst: dst.host.ID(), NextHop: 77, Seq: 9}, now)
+		src.TxFailed(dataFrame(src.host.ID(), 77, pkt(1, src.host.ID(), dst.host.ID(), now)))
+	})
+	tb.engine.Run(20)
+	if e, ok := src.Table.Lookup(dst.host.ID(), tb.engine.Now()); !ok || e.NextHop == 77 {
+		t.Fatalf("route after repair = %+v, %v", e, ok)
+	}
+	if len(tb.delivered) != 1 {
+		t.Fatalf("delivered %d after link-failure repair, want 1", len(tb.delivered))
+	}
+}
+
+func TestTxFailedReroutesOwnPacketFirst(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100)
+	alt := tb.add(150, 100)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	// The frame died on a stale hop while the table already holds a
+	// route via another: Span takes it instead of re-discovering.
+	now := tb.engine.Now()
+	src.Table.Update(routing.AODVEntry{Dst: 9, NextHop: alt.host.ID(), Seq: 3}, now)
+	rreqs, fwd := src.Stats.RREQsSent, src.Stats.DataForwarded
+	src.TxFailed(dataFrame(src.host.ID(), 77, pkt(1, src.host.ID(), 9, now)))
+	if src.Stats.RREQsSent != rreqs || src.Stats.DataForwarded != fwd+1 {
+		t.Fatalf("RREQs %d→%d, forwarded %d→%d; want the alternate route taken at once",
+			rreqs, src.Stats.RREQsSent, fwd, src.Stats.DataForwarded)
+	}
+}
+
+func TestTxFailedDropsExpiredPacket(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	old := pkt(1, src.host.ID(), hostid.ID(9), tb.engine.Now()-60)
+	src.TxFailed(dataFrame(src.host.ID(), 77, old))
+	if src.Stats.DataDropped != 1 {
+		t.Fatalf("expired packet not dropped: %+v", src.Stats)
+	}
+}
+
+func TestTxFailedIgnoresControl(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	src.TxFailed(&radio.Frame{Kind: "rrep", Dst: 3, Bytes: 66, Payload: &routing.AODVRREP{}})
+	if src.Stats != (Stats{HellosSent: src.Stats.HellosSent}) {
+		t.Fatalf("control-frame failure changed counters: %+v", src.Stats)
+	}
+}
+
+func TestTransitNoRouteSendsRERRToSource(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100)
+	mid := tb.add(300, 100)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	now := tb.engine.Now()
+	// The source believes mid can reach 99; mid has no route and must
+	// drop + RERR, and the source must purge its entry.
+	src.Table.Update(routing.AODVEntry{Dst: 99, NextHop: mid.host.ID(), Seq: 5}, now)
+	mid.Table.Update(routing.AODVEntry{Dst: src.host.ID(), NextHop: src.host.ID(), Seq: 5}, now)
+	tb.engine.Schedule(0.01, func() {
+		src.SubmitData(pkt(1, src.host.ID(), hostid.ID(99), tb.engine.Now()))
+	})
+	tb.engine.Run(1.5)
+	if mid.Stats.RERRsSent == 0 || mid.Stats.DataDropped != 1 {
+		t.Fatalf("transit forwarder: %+v, want one drop and a RERR", mid.Stats)
+	}
+	if _, ok := src.Table.Lookup(99, tb.engine.Now()); ok {
+		t.Fatal("source kept the broken route after RERR")
+	}
+}
+
+func TestTxFailedHoldsFinalHopForBeacon(t *testing.T) {
+	tb := newTestbed(t)
+	relay := tb.add(100, 100)
+	dst := tb.add(150, 100)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	// A transit packet's final hop failed, as when the destination
+	// dozed off: hold it for the destination's next HELLO, not drop.
+	relay.TxFailed(dataFrame(relay.host.ID(), dst.host.ID(), pkt(1, 50, dst.host.ID(), tb.engine.Now())))
+	if relay.Stats.DataDropped != 0 || relay.Stats.RERRsSent != 0 {
+		t.Fatalf("final-hop packet dropped or reported: %+v", relay.Stats)
+	}
+	tb.engine.Run(1.9)
+	if len(tb.delivered) != 1 {
+		t.Fatalf("delivered %d after the destination's beacon, want 1", len(tb.delivered))
+	}
+}
+
+func TestNonCoordinatorsDoNotRelayFloods(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 100)
+	tb.add(150, 100)
+	tb.add(125, 140)
+	tb.start()
+	tb.engine.Run(beforeDutyCycle)
+	src.SubmitData(pkt(1, src.host.ID(), hostid.ID(99), tb.engine.Now()))
+	tb.engine.Run(1.5)
+	for i, p := range tb.protos[1:] {
+		if _, ok := p.Table.Lookup(src.host.ID(), tb.engine.Now()); !ok {
+			t.Fatalf("host %d never heard the RREQ", i+1)
+		}
+		if p.Coordinator() || p.Stats.RREQsSent != 0 {
+			t.Fatalf("host %d (coordinator %v) relayed %d RREQs", i+1, p.Coordinator(), p.Stats.RREQsSent)
+		}
+	}
+}
+
+func TestCoordinatorAnswersForSleepingNeighbor(t *testing.T) {
+	tb := newTestbed(t)
+	src := tb.add(100, 500)
+	coord := tb.add(300, 500)
+	dst := tb.add(500, 500)
+	tb.start()
+	tb.engine.Run(10)
+	if !coord.Coordinator() {
+		t.Fatal("setup: no coordinator")
+	}
+	tb.engine.Schedule(0.01, func() {
+		src.SubmitData(pkt(1, src.host.ID(), dst.host.ID(), tb.engine.Now()))
+	})
+	tb.engine.Run(20)
+	// dst is out of the source's range and the coordinator answered
+	// instead of relaying, so dst never saw the request.
+	if dst.Stats.RREPsSent != 0 || coord.Stats.RREPsSent != 1 {
+		t.Fatalf("RREPs: coordinator %d, destination %d; want 1 and 0",
+			coord.Stats.RREPsSent, dst.Stats.RREPsSent)
+	}
+	if e, ok := coord.Table.Lookup(dst.host.ID(), tb.engine.Now()); !ok || e.NextHop != dst.host.ID() || e.Hops != 1 {
+		t.Fatalf("coordinator's route to its neighbor = %+v, %v", e, ok)
+	}
+	if len(tb.delivered) != 1 {
+		t.Fatalf("delivered %d, want 1", len(tb.delivered))
+	}
+}
+
+func TestCoordinatorHoldsForDutyCycledDestination(t *testing.T) {
+	tb := newTestbed(t)
+	tb.add(100, 500)
+	coord := tb.add(300, 500)
+	dst := tb.add(500, 500)
+	tb.start()
+	tb.engine.Run(10)
+	if !coord.Coordinator() {
+		t.Fatal("setup: no coordinator")
+	}
+	fwd := coord.Stats.DataForwarded
+	now := tb.engine.Now()
+	coord.Table.Update(routing.AODVEntry{Dst: dst.host.ID(), NextHop: dst.host.ID(), Seq: 1, Hops: 1}, now)
+	coord.SubmitData(pkt(1, coord.host.ID(), dst.host.ID(), now))
+	if coord.Stats.DataForwarded != fwd {
+		t.Fatal("sent to a duty-cycled destination without waiting for its beacon")
+	}
+	tb.engine.Run(now + 2*DefaultOptions().BeaconPeriod)
+	if coord.Stats.DataForwarded != fwd+1 || len(tb.delivered) != 1 {
+		t.Fatalf("forwarded %d, delivered %d after the beacon; want 1 and 1",
+			coord.Stats.DataForwarded-fwd, len(tb.delivered))
+	}
+}

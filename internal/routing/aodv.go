@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"slices"
-
-	"ecgrid/internal/hostid"
-)
+import "ecgrid/internal/hostid"
 
 // AODVEntry is a host-by-host routing-table row used by the AODV layer
 // that runs underneath GAF: to reach Dst, forward to NextHop.
@@ -76,23 +72,13 @@ func (t *AODVTable) Touch(dst hostid.ID, now float64) {
 func (t *AODVTable) Remove(dst hostid.ID) { delete(t.entries, dst) }
 
 // RemoveVia deletes every entry whose next hop is the given host (used
-// when a neighbor is detected gone) and returns the affected
-// destinations.
-func (t *AODVTable) RemoveVia(hop hostid.ID) []hostid.ID {
-	dsts := make([]hostid.ID, 0, len(t.entries))
-	//simlint:ordered keys are sorted immediately below
-	for dst := range t.entries {
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	var out []hostid.ID
-	for _, dst := range dsts {
-		if t.entries[dst].NextHop == hop {
+// when a neighbor is detected gone).
+func (t *AODVTable) RemoveVia(hop hostid.ID) {
+	for dst, e := range t.entries { //simlint:ordered deletion-only sweep
+		if e.NextHop == hop {
 			delete(t.entries, dst)
-			out = append(out, dst)
 		}
 	}
-	return out
 }
 
 // Len returns the number of stored entries.

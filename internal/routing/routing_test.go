@@ -297,9 +297,14 @@ func TestAODVRemoveVia(t *testing.T) {
 	tbl.Update(AODVEntry{Dst: 1, NextHop: 5, Seq: 1}, 0)
 	tbl.Update(AODVEntry{Dst: 2, NextHop: 5, Seq: 1}, 0)
 	tbl.Update(AODVEntry{Dst: 3, NextHop: 6, Seq: 1}, 0)
-	gone := tbl.RemoveVia(5)
-	if len(gone) != 2 || gone[0] != 1 || gone[1] != 2 {
-		t.Fatalf("RemoveVia = %v", gone)
+	tbl.RemoveVia(5)
+	for _, dst := range []hostid.ID{1, 2} {
+		if _, ok := tbl.Lookup(dst, 0); ok {
+			t.Errorf("route to %d via the removed hop survived", dst)
+		}
+	}
+	if e, ok := tbl.Lookup(3, 0); !ok || e.NextHop != 6 {
+		t.Errorf("route to 3 via another hop = %+v, %v", e, ok)
 	}
 	if tbl.Len() != 1 {
 		t.Fatalf("Len after RemoveVia = %d", tbl.Len())
