@@ -46,8 +46,6 @@ func main() {
 			"inject faults: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
 		shards = flag.Int("shards", 0,
 			"run the spatially-sharded parallel engine with this many strips (results are byte-identical for every value; 0 or 1 run the serial reference)")
-		noRxCache = flag.Bool("norxcache", false,
-			"disable the receiver-plane cache and run the uncached reference scan (results are byte-identical either way)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -91,9 +89,6 @@ func main() {
 		// Applied after -config/-scenario so the flag overrides a loaded
 		// file; Validate below rejects negative or grid-exceeding counts.
 		cfg.Shards = *shards
-	}
-	if *noRxCache {
-		cfg.Radio.NoRxCache = true
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

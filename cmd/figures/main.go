@@ -44,8 +44,6 @@ func main() {
 			"overlay the generator spec of this scenario (a JSON file or scenarios/<name> entry) onto every figure run")
 		shards = flag.Int("shards", 0,
 			"run every figure simulation on the sharded parallel engine with this many strips (byte-identical results; shares a GOMAXPROCS worker budget with -parallel)")
-		noRxCache = flag.Bool("norxcache", false,
-			"run every figure simulation with the receiver-plane cache disabled (uncached reference scan; byte-identical results)")
 	)
 	flag.Parse()
 
@@ -74,15 +72,14 @@ func main() {
 	defer stop()
 
 	opt := experiment.Options{
-		Seed:      *seed,
-		Seeds:     *seeds,
-		Fast:      *fast,
-		Workers:   *parallel,
-		Shards:    *shards,
-		NoRxCache: *noRxCache,
-		Manifest:  *manifest,
-		Resume:    *resume,
-		Context:   ctx,
+		Seed:     *seed,
+		Seeds:    *seeds,
+		Fast:     *fast,
+		Workers:  *parallel,
+		Shards:   *shards,
+		Manifest: *manifest,
+		Resume:   *resume,
+		Context:  ctx,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)

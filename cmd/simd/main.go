@@ -42,18 +42,17 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8171", "listen address")
-		dir       = flag.String("store", "simd-store", "result store directory (created if absent)")
-		workers   = flag.Int("workers", 0, "concurrent simulations; 0 uses all cores")
-		queue     = flag.Int("queue", 64, "max distinct in-flight jobs before 429")
-		perCli    = flag.Int("per-client", 0, "max in-flight jobs per client token; 0 = queue/4")
-		maxN      = flag.Int("max-n", 0, "reject configs with more hosts than this; 0 = unlimited")
-		shards    = flag.Int("shards", 0, "run configs that don't pick a shard count on the sharded parallel engine with this many strips (byte-identical results)")
-		noRxCache = flag.Bool("norxcache", false, "run configs that don't disable it themselves with the receiver-plane cache off (uncached reference scan; byte-identical results)")
-		cache     = flag.Int("cache", store.DefaultCacheEntries, "in-memory LRU entries fronting the store")
-		runTO     = flag.Duration("run-timeout", 0, "per-job execution budget; 0 = unbounded")
-		maxWait   = flag.Duration("max-wait", 2*time.Minute, "longest a blocking request may hold its connection")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGTERM")
+		addr    = flag.String("addr", ":8171", "listen address")
+		dir     = flag.String("store", "simd-store", "result store directory (created if absent)")
+		workers = flag.Int("workers", 0, "concurrent simulations; 0 uses all cores")
+		queue   = flag.Int("queue", 64, "max distinct in-flight jobs before 429")
+		perCli  = flag.Int("per-client", 0, "max in-flight jobs per client token; 0 = queue/4")
+		maxN    = flag.Int("max-n", 0, "reject configs with more hosts than this; 0 = unlimited")
+		shards  = flag.Int("shards", 0, "run every simulation on the sharded parallel engine with this many strips (byte-identical results, shared store entries)")
+		cache   = flag.Int("cache", store.DefaultCacheEntries, "in-memory LRU entries fronting the store")
+		runTO   = flag.Duration("run-timeout", 0, "per-job execution budget; 0 = unbounded")
+		maxWait = flag.Duration("max-wait", 2*time.Minute, "longest a blocking request may hold its connection")
+		drain   = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGTERM")
 	)
 	flag.Parse()
 
@@ -61,13 +60,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-shards %d: shard count cannot be negative\n", *shards)
 		os.Exit(2)
 	}
-	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *shards, *noRxCache, *cache, *runTO, *maxWait, *drain); err != nil {
+	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *shards, *cache, *runTO, *maxWait, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dir string, workers, queue, perCli, maxN, shards int, noRxCache bool, cache int, runTO, maxWait, drain time.Duration) error {
+func run(addr, dir string, workers, queue, perCli, maxN, shards, cache int, runTO, maxWait, drain time.Duration) error {
 	st, err := store.Open(dir, cache)
 	if err != nil {
 		return err
@@ -83,7 +82,6 @@ func run(addr, dir string, workers, queue, perCli, maxN, shards int, noRxCache b
 		PerClient:  perCli,
 		MaxHosts:   maxN,
 		Shards:     shards,
-		NoRxCache:  noRxCache,
 		RunTimeout: runTO,
 		MaxWait:    maxWait,
 	})

@@ -66,7 +66,7 @@ func main() {
 		shards = flag.Int("shards", 0,
 			"run every simulation on the sharded parallel engine with this many strips (byte-identical results; shares a GOMAXPROCS worker budget with -parallel)")
 		noRxCache = flag.Bool("norxcache", false,
-			"disable the receiver-plane cache in every run (uncached reference scan; byte-identical results)")
+			"disable the receiver-plane cache in every run (uncached reference scan; byte-identical results, so a warm -store answers from its entries)")
 		retries  = flag.Int("retries", 0, "extra attempts for a failed run")
 		faultArg = flag.String("faults", "",
 			"inject a fault plan into every run: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")

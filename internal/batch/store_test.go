@@ -73,6 +73,34 @@ func TestRunStoreBacked(t *testing.T) {
 	}
 }
 
+// TestRunStoreShardedHitsSerialEntry: the shard count is execution
+// strategy, not model, so a sharded rerun of a serially stored config
+// is a store hit — one simulation in total, however the model is run.
+func TestRunStoreShardedHitsSerialEntry(t *testing.T) {
+	st := newMemStore()
+	serial := tinyCfg(scenario.ECGRID, 4)
+	first, sum := Run(context.Background(), []Job{{Tag: "serial", Cfg: serial}}, Options{Workers: 1, Store: st})
+	if err := sum.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	sharded := serial
+	sharded.Shards = 2
+	second, sum2 := Run(context.Background(), []Job{{Tag: "sharded", Cfg: sharded}}, Options{Workers: 1, Store: st})
+	if err := sum2.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.Executed + sum2.Executed; got != 1 || sum2.Cached != 1 || st.puts != 1 {
+		t.Fatalf("executed %d simulations (cached %d, puts %d), want 1 (1, 1)", got, sum2.Cached, st.puts)
+	}
+	if second[0].Key != first[0].Key {
+		t.Fatalf("sharded key %s, want the serial key %s", second[0].Key, first[0].Key)
+	}
+	if string(marshal(t, first[0].Res)) != string(marshal(t, second[0].Res)) {
+		t.Fatal("sharded rerun served different results")
+	}
+}
+
 // TestExecutorStoreBacked: executions land in the store, and a fresh
 // executor over the same store serves them without re-running.
 func TestExecutorStoreBacked(t *testing.T) {

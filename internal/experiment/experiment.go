@@ -96,15 +96,10 @@ type Options struct {
 	Gen *scengen.Spec
 	// Shards, when ≥ 2, runs every figure simulation on the sharded
 	// parallel engine (scenario.Config.Shards). Results are
-	// byte-identical for any value, but the field is part of the batch
-	// key, so sharded and serial figure runs cache separately — exactly
-	// like HeapScheduler.
+	// byte-identical for any value, and the field is runtime-only, so
+	// sharded and serial figure runs share batch keys: a serial
+	// manifest or store answers a sharded rerun.
 	Shards int
-	// NoRxCache runs every figure simulation with the receiver-plane
-	// cache disabled (radio.Config.NoRxCache), the uncached reference
-	// path. Results are byte-identical either way, but the flag is part
-	// of the batch key, so cached and reference runs store separately.
-	NoRxCache bool
 }
 
 // Point is one sample of a result series.
@@ -197,11 +192,6 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 	if opt.Shards != 0 {
 		for i := range jobs {
 			jobs[i].Cfg.Shards = opt.Shards
-		}
-	}
-	if opt.NoRxCache {
-		for i := range jobs {
-			jobs[i].Cfg.Radio.NoRxCache = true
 		}
 	}
 	bopt := batch.Options{

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -182,7 +181,6 @@ type Channel struct {
 	// carrier-sense set for the busyAround memo; vmax is the loosest
 	// speed bound over all hosts ever attached.
 	rxCacheOn bool
-	rxPad     float64
 	cover     []spatial.CellEpoch
 	chEpoch   uint64
 	txEpoch   uint64
@@ -216,7 +214,7 @@ type Channel struct {
 
 // NewChannel creates a medium with the given parameters.
 func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
-	if cfg.Range <= 0 || cfg.BitrateBps <= 0 || cfg.RxCachePadM < 0 || math.IsNaN(cfg.RxCachePadM) {
+	if cfg.Range <= 0 || cfg.BitrateBps <= 0 {
 		panic("radio: invalid config")
 	}
 	if cfg.MinBackoffSlots < 1 {
@@ -236,24 +234,11 @@ func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
 	if !cfg.BruteForce {
 		// Cell side and slack trade query breadth against maintenance
 		// rate; any positive values are correct (see internal/spatial),
-		// so the defaults just balance the two at the paper's geometry.
-		side := cfg.IndexCellM
-		if side <= 0 {
-			side = cfg.Range / 2
-		}
-		slack := cfg.IndexSlackM
-		if slack <= 0 {
-			slack = cfg.Range / 8
-		}
-		c.index = spatial.NewIndex[*station](engine, side, slack)
+		// so these just balance the two at the paper's geometry.
+		side := cfg.Range / 2
+		c.index = spatial.NewIndex[*station](engine, side, cfg.Range/8)
 		c.txIdx = spatial.NewPointSet(side)
-		if !cfg.NoRxCache {
-			c.rxCacheOn = true
-			c.rxPad = cfg.RxCachePadM
-			if c.rxPad <= 0 {
-				c.rxPad = cfg.Range / 8
-			}
-		}
+		c.rxCacheOn = !cfg.NoRxCache
 	}
 	return c
 }
@@ -282,7 +267,7 @@ func (c *Channel) Attach(ep Endpoint) {
 	}
 	if c.index != nil && (id < 0 || int64(id) > int64(1<<31-1)) {
 		// The receiver scan packs IDs into the top 32 bits of a sort key.
-		panic(fmt.Sprintf("radio: host id %v outside [0, 2^31) — use Config.BruteForce for exotic id spaces", id))
+		panic(fmt.Sprintf("radio: host id %v outside [0, 2^31) — the spatial index needs non-negative 31-bit ids", id))
 	}
 	st := &station{
 		ep:        ep,

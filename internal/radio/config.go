@@ -35,27 +35,17 @@ type Config struct {
 	// BruteForce disables the spatial neighbor index and scans the full
 	// population per transmission, as the seed implementation did. The
 	// two paths are byte-identical (see internal/runner's equivalence
-	// test); brute force exists as the reference oracle and for
-	// debugging, not for production runs.
-	BruteForce bool `json:",omitempty"`
-	// IndexCellM and IndexSlackM override the spatial index cell side
-	// and staleness slack, in meters. Zero selects defaults derived from
-	// Range. They tune performance only — results are identical for any
-	// positive values.
-	IndexCellM  float64 `json:",omitempty"`
-	IndexSlackM float64 `json:",omitempty"`
+	// test); brute force is a Go-only test oracle, not a model
+	// parameter: it is never serialized, so it stays out of batch keys
+	// and out of the HTTP API.
+	BruteForce bool `json:"-"`
 	// NoRxCache disables the receiver-plane cache (rxcache.go) and runs
 	// every transmission through the uncached scan, as the live
 	// reference oracle for the cache's byte-identity — the same role
 	// BruteForce plays for the spatial index. BruteForce implies it (the
-	// cache needs the index).
-	NoRxCache bool `json:",omitempty"`
-	// RxCachePadM widens the cached receiver scan beyond Range, in
-	// meters: the pad is the distance margin boundary hosts get before
-	// their cached admit decision must be re-derived. Zero selects
-	// Range/8; negative is invalid. Performance-only — results are
-	// identical for any value.
-	RxCachePadM float64 `json:",omitempty"`
+	// cache needs the index). Runtime-only like BruteForce: a cached and
+	// an uncached run of one model share one batch key.
+	NoRxCache bool `json:"-"`
 }
 
 // DefaultConfig returns parameters matching the paper's simulation setup.

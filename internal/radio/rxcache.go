@@ -9,7 +9,7 @@ package radio
 // documented in DESIGN.md §16; the short form:
 //
 //   - Each station's entry caches every host bucketed in the cells of a
-//     padded scan (radius Range + rxPad) at fill time — sleeping hosts
+//     padded scan (radius Range + Range/8) at fill time — sleeping hosts
 //     included, but left unevaluated — ID-sorted, each listening host
 //     with its in-range decision and a drift deadline (safeUntil)
 //     derived from its distance margin |d − Range| and the channel-wide
@@ -134,7 +134,7 @@ func (c *Channel) safeHorizon(now, margin float64) float64 {
 // reference.
 func (c *Channel) cachedReceivers(tx *transmission, st *station, pos geom.Point, r2 float64) {
 	now := c.engine.Now()
-	rq := c.cfg.Range + c.rxPad
+	rq := c.cfg.Range + c.cfg.Range/8
 	c.cover = c.index.CoverEpochs(pos, rq, c.cover[:0])
 	if c.replayFromCache(tx, st, pos, r2, now) {
 		c.rxStats.Hits++

@@ -78,7 +78,8 @@ type Results struct {
 	// used Cfg.Shards ≥ 2; nil on the serial path. Runtime-only and
 	// excluded from the canonical encoding: the measurements of a
 	// sharded run are byte-identical to the serial reference by
-	// construction, so its stored results differ only by Cfg.Shards.
+	// construction, and Cfg.Shards itself is runtime-only, so a sharded
+	// and a serial run store identical bytes.
 	Shard *shard.Stats `json:"-"`
 
 	// RxCache is the receiver-plane cache's telemetry (hits, misses,

@@ -106,11 +106,10 @@ type Config struct {
 	GAFOptions    *gaf.Options
 	// HeapScheduler runs the event engine on the binary-heap reference
 	// scheduler instead of the default calendar queue — sim's analog of
-	// Radio.BruteForce. Both produce byte-identical runs; the knob
-	// exists for the equivalence tests and for debugging. omitempty
-	// keeps the JSON encoding (and batch manifest keys) of default
-	// configs unchanged.
-	HeapScheduler bool `json:",omitempty"`
+	// Radio.BruteForce. Both produce byte-identical runs; the knob is a
+	// Go-only test oracle. Runtime-only: not serialized, so it never
+	// reaches a batch key, a stored result or the HTTP API.
+	HeapScheduler bool `json:"-"`
 	// Shards, when ≥ 2, executes the run on the spatially-sharded
 	// parallel engine (internal/shard): the plane is cut into Shards
 	// column strips of grid cells, worker goroutines advance each
@@ -120,9 +119,10 @@ type Config struct {
 	// 0 (the default) and 1 both run the reference path verbatim.
 	// Validate rejects negative values and values exceeding the number
 	// of grid-cell columns (a strip must be at least one column wide).
-	// omitempty keeps the JSON encoding — and with it batch manifest and
-	// store keys — of non-sharded configs unchanged.
-	Shards int `json:",omitempty"`
+	// Runtime-only, like Trace: how a model executes is not part of the
+	// model, so a serial and a sharded run share one batch key and one
+	// store entry.
+	Shards int `json:"-"`
 	// Faults, if non-nil and non-empty, injects the plan's crashes,
 	// battery shocks, jamming, paging loss, and GPS errors into the run.
 	// omitempty keeps the JSON encoding — and with it batch manifest
@@ -213,6 +213,13 @@ func (c Config) Validate() error {
 	}
 	if c.Duration <= 0 || c.SampleEvery <= 0 || !finite(c.Duration) || !finite(c.SampleEvery) {
 		return errors.New("scenario: non-positive duration or sample period")
+	}
+	if c.Radio.Range <= 0 || c.Radio.BitrateBps <= 0 || !finite(c.Radio.Range) || !finite(c.Radio.BitrateBps) {
+		return errors.New("scenario: non-positive or non-finite radio range or bitrate")
+	}
+	if c.Radio.PropDelay < 0 || c.Radio.SlotTime < 0 || c.Radio.DIFS < 0 ||
+		!finite(c.Radio.PropDelay) || !finite(c.Radio.SlotTime) || !finite(c.Radio.DIFS) {
+		return errors.New("scenario: negative or non-finite radio propagation delay, slot time or DIFS")
 	}
 	if c.Shards < 0 {
 		return errors.New("scenario: negative shard count")

@@ -71,6 +71,26 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"NaN duration":             func(c *Config) { c.Duration = math.NaN() },
 		"Inf duration":             func(c *Config) { c.Duration = math.Inf(1) },
 		"NaN sampling":             func(c *Config) { c.SampleEvery = math.NaN() },
+		// Radio parameters NewChannel would panic on, or that make the
+		// MAC timing meaningless: a 400 from simd and exit 2 from the
+		// CLIs, not a panic inside runner.Run.
+		"zero range":          func(c *Config) { c.Radio.Range = 0 },
+		"negative range":      func(c *Config) { c.Radio.Range = -250 },
+		"NaN range":           func(c *Config) { c.Radio.Range = math.NaN() },
+		"Inf range":           func(c *Config) { c.Radio.Range = math.Inf(1) },
+		"zero bitrate":        func(c *Config) { c.Radio.BitrateBps = 0 },
+		"negative bitrate":    func(c *Config) { c.Radio.BitrateBps = -1 },
+		"NaN bitrate":         func(c *Config) { c.Radio.BitrateBps = math.NaN() },
+		"Inf bitrate":         func(c *Config) { c.Radio.BitrateBps = math.Inf(1) },
+		"negative prop delay": func(c *Config) { c.Radio.PropDelay = -1e-6 },
+		"NaN prop delay":      func(c *Config) { c.Radio.PropDelay = math.NaN() },
+		"Inf prop delay":      func(c *Config) { c.Radio.PropDelay = math.Inf(1) },
+		"negative slot time":  func(c *Config) { c.Radio.SlotTime = -20e-6 },
+		"NaN slot time":       func(c *Config) { c.Radio.SlotTime = math.NaN() },
+		"Inf slot time":       func(c *Config) { c.Radio.SlotTime = math.Inf(1) },
+		"negative DIFS":       func(c *Config) { c.Radio.DIFS = -50e-6 },
+		"NaN DIFS":            func(c *Config) { c.Radio.DIFS = math.NaN() },
+		"Inf DIFS":            func(c *Config) { c.Radio.DIFS = math.Inf(-1) },
 	}
 	for name, mutate := range mutations {
 		cfg := Default(ECGRID)
@@ -110,19 +130,6 @@ func TestValidateShards(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestShardsOmitemptyKeepsEncoding: non-sharded configs must encode
-// exactly as before the field existed, so batch manifest and store keys
-// of the entire existing result corpus stay stable.
-func TestShardsOmitemptyKeepsEncoding(t *testing.T) {
-	b, err := json.Marshal(Default(ECGRID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "Shards") {
-		t.Fatalf("zero Shards leaked into the encoding: %s", b)
-	}
 }
 
 func TestValidateGAFEndpoints(t *testing.T) {

@@ -65,23 +65,15 @@ type Config struct {
 	// MaxHosts rejects configs whose total host count exceeds it
 	// (cmd/simd's -max-n guardrail); <= 0 disables the check.
 	MaxHosts int
-	// Shards, when >= 2, runs incoming configs that do not pick a shard
-	// count themselves (Shards == 0) on the spatially-sharded parallel
-	// engine with this many strips. Results are byte-identical either
-	// way (DESIGN.md §15), so this is purely an execution default; a
-	// config that sets its own Shards keeps it, and configs whose cell
-	// grid is too narrow for the default fall back to the serial engine.
-	// The overlay happens before key computation, so a sharded server's
-	// cache keys are self-consistent (and /v1/generate previews them).
-	// Negative values are rejected by New.
+	// Shards, when >= 2, executes every simulation on the
+	// spatially-sharded parallel engine with this many strips; configs
+	// whose cell grid is too narrow for that count run serially.
+	// Results are byte-identical either way (DESIGN.md §15), and
+	// scenario.Config.Shards is runtime-only, so this is purely an
+	// execution setting: it changes no content key, and a sharded and a
+	// serial server share store entries. Negative values are rejected
+	// by New.
 	Shards int
-	// NoRxCache runs incoming configs with the receiver-plane cache
-	// disabled (radio.Config.NoRxCache) unless the config already asked
-	// for it. Results are byte-identical either way, so like Shards this
-	// is an execution default — but it is part of the batch key, so a
-	// reference server's cache entries never alias a cached server's.
-	// Exists for the CI soak diff (cmd/simd -norxcache) and debugging.
-	NoRxCache bool
 	// RunTimeout bounds one job from admission to completion; <= 0
 	// leaves jobs unbounded. A simulation cannot be preempted
 	// mid-event-loop, so the timeout takes effect at the executor's
@@ -316,33 +308,6 @@ func (s *Server) parseWait(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// applyShards overlays the server's default shard count onto a config
-// that did not choose one. The overlay must not turn a runnable config
-// into a 400: when the default does not fit (the strip count exceeds
-// the config's cell grid) the config silently keeps the serial engine,
-// which produces the same results anyway. Configs invalid for other
-// reasons are left alone so the handler's Validate reports the real
-// error.
-func (s *Server) applyShards(cfg *scenario.Config) {
-	if s.cfg.Shards < 2 || cfg.Shards != 0 {
-		return
-	}
-	cfg.Shards = s.cfg.Shards
-	if err := cfg.Validate(); err != nil {
-		cfg.Shards = 0
-	}
-}
-
-// applyRxCache overlays the server's NoRxCache execution default onto a
-// config that did not disable the cache itself. Unlike applyShards
-// there is no fit check to fall back from: the flag is valid for every
-// config.
-func (s *Server) applyRxCache(cfg *scenario.Config) {
-	if s.cfg.NoRxCache {
-		cfg.Radio.NoRxCache = true
-	}
-}
-
 // handleRun is POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	cfg, err := decodeConfig(r)
@@ -350,8 +315,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyShards(&cfg)
-	s.applyRxCache(&cfg)
 	// scenario.Validate is the API's 4xx surface: every config mistake a
 	// CLI would exit(2) on becomes a 400 with the same message.
 	if err := cfg.Validate(); err != nil {
@@ -429,8 +392,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyShards(&cfg)
-	s.applyRxCache(&cfg)
 	if err := cfg.Validate(); err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -506,7 +467,17 @@ func (s *Server) runJob(j *job) {
 	s.met.running.Add(1)
 	defer s.met.running.Add(-1)
 
-	res, err := s.run(ctx, j.tag, j.cfg)
+	cfg := j.cfg
+	if s.cfg.Shards >= 2 {
+		// The shard count does not fit every config: one whose cell grid
+		// has fewer columns than strips runs serially instead, which
+		// produces the same results anyway.
+		cfg.Shards = s.cfg.Shards
+		if cfg.Validate() != nil {
+			cfg.Shards = 0
+		}
+	}
+	res, err := s.run(ctx, j.tag, cfg)
 	if err != nil {
 		j.err = err
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,6 +158,25 @@ func TestRunValidationSurface(t *testing.T) {
 	resp, body := post(`{"Hosts": -1}`, "?base=ecgrid")
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scenario:") {
 		t.Errorf("invalid config → %d (%s), want 400 with scenario error", resp.StatusCode, body)
+	}
+	// Execution strategy is not part of the API: a runtime-only field,
+	// or a knob that no longer exists, is an unknown field.
+	for _, body := range []string{
+		`{"Shards": 2}`,
+		`{"HeapScheduler": true}`,
+		`{"Radio": {"BruteForce": true}}`,
+		`{"Radio": {"NoRxCache": true}}`,
+		`{"Radio": {"IndexCellM": 0.05}}`,
+	} {
+		if resp, msg := post(body, "?base=ecgrid"); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s → %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	// A radio parameter the channel cannot run with is a config error,
+	// not a panic inside the simulation.
+	resp, body = post(`{"Radio": {"Range": 0}}`, "?base=ecgrid")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scenario:") {
+		t.Errorf("zero radio range → %d (%s), want 400 with scenario error", resp.StatusCode, body)
 	}
 	// Unknown base protocol.
 	if resp, _ := post("", "?base=ospf"); resp.StatusCode != http.StatusBadRequest {
@@ -435,71 +455,72 @@ func genKey(t *testing.T, ts *httptest.Server, cfg scenario.Config) string {
 	return out.Key
 }
 
-// TestShardDefaultOverlay: a server started with Config.Shards runs
-// shard-less configs on the sharded engine — same result bytes as a
-// serial server, a self-consistent content key (previewed by
-// /v1/generate), and the shard telemetry surfaced on /metrics.
+// shardRecorder is a RunFunc that executes for real and records the
+// shard count each execution was handed.
+type shardRecorder struct {
+	mu     sync.Mutex
+	shards []int
+}
+
+func (r *shardRecorder) run(_ context.Context, _ string, cfg scenario.Config) (*runner.Results, error) {
+	r.mu.Lock()
+	r.shards = append(r.shards, cfg.Shards)
+	r.mu.Unlock()
+	return runner.Run(cfg), nil
+}
+
+func (r *shardRecorder) handed() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]int(nil), r.shards...)
+}
+
+// TestShardDefaultOverlay: Config.Shards is an execution setting only.
+// A sharded server hands the shard count to the executor, yet serves
+// the same content key and the same bytes as a serial server; a config
+// whose cell grid is too narrow for the count runs serially instead of
+// failing; and the shard telemetry reaches /metrics.
 func TestShardDefaultOverlay(t *testing.T) {
-	sharded, _, _ := newTestServer(t, func(c *Config) { c.Shards = 2 })
+	rec := &shardRecorder{}
+	sharded, _, _ := newTestServer(t, func(c *Config) { c.Shards = 2; c.Run = rec.run })
 	serial, _, _ := newTestServer(t, nil)
 	cfg := smallCfg(1)
 
-	// The overlay is part of the key: /v1/generate on the sharded server
-	// previews the key of the config it will actually run.
-	want := cfg
-	want.Shards = 2
-	if got := genKey(t, sharded, cfg); got != batch.Key(want) {
-		t.Fatalf("sharded server key = %s, want the Shards=2 key %s", got, batch.Key(want))
-	}
-	if genKey(t, sharded, cfg) == genKey(t, serial, cfg) {
-		t.Fatal("sharded and serial servers previewed the same key")
-	}
-	// A config that picks its own count keeps it.
-	own := smallCfg(1)
-	own.Shards = 3
-	if got := genKey(t, sharded, own); got != batch.Key(own) {
-		t.Fatalf("explicit Shards=3 key = %s, want %s", got, batch.Key(own))
-	}
-	// A grid too narrow for the default falls back to the serial engine
-	// instead of rejecting the request: 500 m / 100 m cells = 5 columns.
-	narrow := smallCfg(1)
-	narrow.AreaSize = 500
-	wide, _, _ := newTestServer(t, func(c *Config) { c.Shards = 8 })
-	if got := genKey(t, wide, narrow); got != batch.Key(narrow) {
-		t.Fatalf("narrow-grid key = %s, want the serial key %s", got, batch.Key(narrow))
+	if got, want := genKey(t, sharded, cfg), batch.Key(cfg); got != want {
+		t.Fatalf("sharded server previewed key %s, want the model's key %s", got, want)
 	}
 
-	// Byte-identity over HTTP: apart from the Shards knob echoed in the
-	// result's Cfg, both engines serve identical results.
 	rs := postRun(t, sharded, cfg, "")
 	if rs.StatusCode != http.StatusOK {
 		t.Fatalf("sharded run status %d: %s", rs.StatusCode, readAll(t, rs))
 	}
 	rr := postRun(t, serial, cfg, "")
 	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("serial run status %d", rr.StatusCode)
+		t.Fatalf("serial run status %d: %s", rr.StatusCode, readAll(t, rr))
 	}
-	var fromSharded, fromSerial runner.Results
-	if err := json.Unmarshal(readAll(t, rs), &fromSharded); err != nil {
-		t.Fatal(err)
+	if ks, kr := rs.Header.Get("X-Content-Key"), rr.Header.Get("X-Content-Key"); ks != kr || ks != batch.Key(cfg) {
+		t.Fatalf("sharded key %s, serial key %s, want both %s", ks, kr, batch.Key(cfg))
 	}
-	if err := json.Unmarshal(readAll(t, rr), &fromSerial); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(readAll(t, rs), readAll(t, rr)) {
+		t.Fatal("sharded server's result bytes differ from the serial server's")
 	}
-	if fromSharded.Cfg.Shards != 2 {
-		t.Fatalf("sharded server echoed Cfg.Shards = %d, want 2", fromSharded.Cfg.Shards)
+	if got := rec.handed(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("executor was handed shard counts %v, want [2]", got)
 	}
-	fromSharded.Cfg.Shards = 0
-	a, err := json.Marshal(fromSharded)
-	if err != nil {
-		t.Fatal(err)
+
+	// A grid too narrow for the count runs serially: 500 m / 100 m
+	// cells = 5 columns, fewer than 8 strips.
+	narrowRec := &shardRecorder{}
+	wide, _, _ := newTestServer(t, func(c *Config) { c.Shards = 8; c.Run = narrowRec.run })
+	narrow := smallCfg(1)
+	narrow.AreaSize = 500
+	rn := postRun(t, wide, narrow, "")
+	if rn.StatusCode != http.StatusOK {
+		t.Fatalf("narrow-grid run status %d: %s", rn.StatusCode, readAll(t, rn))
 	}
-	b, err := json.Marshal(fromSerial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("sharded server's results differ from the serial server's")
+	readAll(t, rn)
+	if got := narrowRec.handed(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("narrow grid was handed shard counts %v, want [0] (serial)", got)
 	}
 
 	// The sharded run fed the /metrics telemetry: both counters render
@@ -532,67 +553,5 @@ func TestNewRejectsNegativeShards(t *testing.T) {
 	}
 	if _, err := New(Config{Store: st, Shards: -1}); err == nil {
 		t.Fatal("New accepted Config.Shards = -1")
-	}
-}
-
-// TestRxCacheDefaultOverlay: a server started with Config.NoRxCache
-// runs incoming configs on the uncached reference scan — a distinct,
-// self-consistent content key (so its store entries never alias a
-// cached server's) and, because the cache is byte-identical, the same
-// result payload apart from the echoed knob.
-func TestRxCacheDefaultOverlay(t *testing.T) {
-	reference, _, _ := newTestServer(t, func(c *Config) { c.NoRxCache = true })
-	cached, _, _ := newTestServer(t, nil)
-	cfg := smallCfg(1)
-
-	// The overlay is part of the key: /v1/generate previews the config
-	// the reference server will actually run.
-	want := cfg
-	want.Radio.NoRxCache = true
-	if got := genKey(t, reference, cfg); got != batch.Key(want) {
-		t.Fatalf("reference server key = %s, want the NoRxCache key %s", got, batch.Key(want))
-	}
-	if genKey(t, reference, cfg) == genKey(t, cached, cfg) {
-		t.Fatal("reference and cached servers previewed the same key")
-	}
-	// A config that disables the cache itself lands on the same key on
-	// both servers: the overlay is idempotent, not a separate dimension.
-	own := smallCfg(1)
-	own.Radio.NoRxCache = true
-	if got := genKey(t, cached, own); got != batch.Key(own) {
-		t.Fatalf("explicit NoRxCache key = %s, want %s", got, batch.Key(own))
-	}
-
-	// Byte-identity over HTTP: apart from the NoRxCache knob echoed in
-	// the result's Cfg, both servers serve identical results.
-	rs := postRun(t, reference, cfg, "")
-	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("reference run status %d: %s", rs.StatusCode, readAll(t, rs))
-	}
-	rr := postRun(t, cached, cfg, "")
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("cached run status %d", rr.StatusCode)
-	}
-	var fromRef, fromCached runner.Results
-	if err := json.Unmarshal(readAll(t, rs), &fromRef); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readAll(t, rr), &fromCached); err != nil {
-		t.Fatal(err)
-	}
-	if !fromRef.Cfg.Radio.NoRxCache {
-		t.Fatal("reference server echoed Cfg.Radio.NoRxCache = false, want true")
-	}
-	fromRef.Cfg.Radio.NoRxCache = false
-	a, err := json.Marshal(fromRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(fromCached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("reference server's results differ from the cached server's")
 	}
 }
