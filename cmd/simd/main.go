@@ -21,8 +21,9 @@
 //	GET  /healthz           liveness
 //	GET  /metrics           counters + latency histograms (JSON)
 //
-// SIGINT/SIGTERM drains gracefully: the listener stops accepting,
-// in-flight requests get -drain to finish, then the process exits.
+// SIGINT/SIGTERM drains gracefully: the listener stops accepting, and
+// in-flight requests and running simulations get -drain to finish
+// (results that land in time are stored), then the process exits.
 package main
 
 import (
@@ -109,7 +110,18 @@ func run(addr, dir string, workers, queue, perCli, maxN, shards, cache int, runT
 	shCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	err = hs.Shutdown(shCtx) // stop accepting, let in-flight requests finish
-	srv.Close()              // then fail anything still queued internally
+	// Then fail anything still queued and wait for running simulations,
+	// within what is left of the budget.
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-shCtx.Done():
+		fmt.Fprintln(os.Stderr, "simd: drain budget spent; abandoning running simulations")
+	}
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}

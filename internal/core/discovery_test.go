@@ -187,8 +187,8 @@ func TestGreedyNeighborStrictProgress(t *testing.T) {
 	tb.start()
 	tb.engine.Run(5)
 	now := tb.engine.Now()
-	gw.neighbors[grid.Coord{X: 2, Y: 1}] = neighborGW{id: 7, seen: now}
-	gw.neighbors[grid.Coord{X: 0, Y: 1}] = neighborGW{id: 8, seen: now}
+	gw.noteNeighborGW(grid.Coord{X: 2, Y: 1}, 7, now)
+	gw.noteNeighborGW(grid.Coord{X: 0, Y: 1}, 8, now)
 	// Target east of us: only (2,1) makes progress.
 	id, next, ok := gw.greedyNeighbor(grid.Coord{X: 5, Y: 1})
 	if !ok || id != 7 || next != (grid.Coord{X: 2, Y: 1}) {
@@ -199,7 +199,7 @@ func TestGreedyNeighborStrictProgress(t *testing.T) {
 		t.Fatal("greedy progressed toward our own cell")
 	}
 	// Stale neighbors are not candidates.
-	gw.neighbors[grid.Coord{X: 2, Y: 1}] = neighborGW{id: 7, seen: now - 100}
+	gw.noteNeighborGW(grid.Coord{X: 2, Y: 1}, 7, now-100)
 	if _, _, ok := gw.greedyNeighbor(grid.Coord{X: 5, Y: 1}); ok {
 		t.Fatal("greedy used a stale neighbor")
 	}
@@ -211,7 +211,7 @@ func TestTxFailedClearsBadNeighborAndReroutes(t *testing.T) {
 	tb.start()
 	tb.engine.Run(5)
 	now := tb.engine.Now()
-	gw.neighbors[grid.Coord{X: 2, Y: 1}] = neighborGW{id: 55, seen: now}
+	gw.noteNeighborGW(grid.Coord{X: 2, Y: 1}, 55, now)
 	data := &routing.Data{
 		Packet:     pkt(1, 1, gw.host.ID(), 99, now),
 		TargetGrid: grid.Coord{X: 2, Y: 1},
@@ -219,7 +219,7 @@ func TestTxFailedClearsBadNeighborAndReroutes(t *testing.T) {
 		HasDest:    true,
 	}
 	gw.TxFailed(&radio.Frame{Kind: "data", Src: gw.host.ID(), Dst: 55, Bytes: 100, Payload: data})
-	if _, ok := gw.neighbors[grid.Coord{X: 2, Y: 1}]; ok {
+	if _, ok := gw.neighborGWAt(grid.Coord{X: 2, Y: 1}); ok {
 		t.Fatal("failed neighbor not purged")
 	}
 }

@@ -143,43 +143,50 @@ func (p *Protocol) routeData(m *routing.Data) {
 	p.sendRERR(pkt.Src, pkt.Dst)
 }
 
-// sortedNeighborCells returns the neighbor-table keys sorted by (X, Y),
-// so hot-path decisions iterate the table in an order independent of
-// Go's per-process map hash. The returned slice is a per-protocol
-// scratch buffer, valid until the next call.
-func (p *Protocol) sortedNeighborCells() []grid.Coord {
-	cells := p.cellScratch[:0]
-	//simlint:ordered keys are sorted immediately below
-	for c := range p.neighbors {
-		cells = append(cells, c)
+// compareCell orders the neighbor-gateway table by cell (X, Y), so
+// hot-path decisions iterate it in an order independent of the order
+// HELLOs arrived in.
+func compareCell(n neighborGW, c grid.Coord) int {
+	if n.cell.X != c.X {
+		return cmp.Compare(n.cell.X, c.X)
 	}
-	slices.SortFunc(cells, func(a, b grid.Coord) int {
-		if a.X != b.X {
-			return cmp.Compare(a.X, b.X)
-		}
-		return cmp.Compare(a.Y, b.Y)
-	})
-	p.cellScratch = cells
-	return cells
+	return cmp.Compare(n.cell.Y, c.Y)
+}
+
+// neighborGWAt returns the cached gateway of cell c.
+func (p *Protocol) neighborGWAt(c grid.Coord) (neighborGW, bool) {
+	i, ok := slices.BinarySearchFunc(p.neighbors, c, compareCell)
+	if !ok {
+		return neighborGW{}, false
+	}
+	return p.neighbors[i], true
+}
+
+// noteNeighborGW records id as the gateway of cell c, heard at seen.
+func (p *Protocol) noteNeighborGW(c grid.Coord, id hostid.ID, seen float64) {
+	i, ok := slices.BinarySearchFunc(p.neighbors, c, compareCell)
+	if !ok {
+		p.neighbors = slices.Insert(p.neighbors, i, neighborGW{cell: c})
+	}
+	p.neighbors[i].id, p.neighbors[i].seen = id, seen
 }
 
 // greedyNeighbor picks the alive neighbor gateway whose grid is strictly
 // closer (in grid hops) to target than our own, preferring the closest.
-// Iterating cells in sorted order makes the equal-distance tie-break the
-// (X, Y)-smallest cell, independent of map iteration order.
+// The table is sorted by cell, so the equal-distance tie-break is the
+// (X, Y)-smallest cell.
 func (p *Protocol) greedyNeighbor(target grid.Coord) (gw hostid.ID, next grid.Coord, ok bool) {
 	now := p.host.Now()
 	best := p.myGrid.ChebyshevDist(target)
 	found := false
-	for _, c := range p.sortedNeighborCells() {
-		n := p.neighbors[c]
+	for _, n := range p.neighbors {
 		if now-n.seen > p.opt.NeighborGWTTL {
 			continue
 		}
 		// Strict progress toward the target; the first cell at the
 		// winning distance keeps the slot.
-		if d := c.ChebyshevDist(target); d < best {
-			best, gw, next, found = d, n.id, c, true
+		if d := n.cell.ChebyshevDist(target); d < best {
+			best, gw, next, found = d, n.id, n.cell, true
 		}
 	}
 	return gw, next, found
@@ -188,7 +195,7 @@ func (p *Protocol) greedyNeighbor(target grid.Coord) (gw hostid.ID, next grid.Co
 // freshNeighbor returns the believed-alive gateway of cell c. A gateway
 // is believed alive while its gflag HELLOs keep arriving.
 func (p *Protocol) freshNeighbor(c grid.Coord) (gw hostid.ID, alive bool) {
-	n, ok := p.neighbors[c]
+	n, ok := p.neighborGWAt(c)
 	if !ok || p.host.Now()-n.seen > p.opt.NeighborGWTTL {
 		return hostid.None, false
 	}

@@ -227,7 +227,7 @@ func (p *Protocol) deliverLocal(dst hostid.ID, pkt *routing.DataPacket) {
 // gateway of that grid filters by TargetGrid).
 func (p *Protocol) sendToGrid(target grid.Coord, kind string, bytes int, payload any) {
 	now := p.host.Now()
-	if gw, ok := p.neighbors[target]; ok && now-gw.seen <= p.opt.NeighborGWTTL {
+	if gw, ok := p.neighborGWAt(target); ok && now-gw.seen <= p.opt.NeighborGWTTL {
 		p.host.SendFrame(kind, gw.id, bytes, payload)
 		return
 	}

@@ -41,6 +41,7 @@ type helloInfo struct {
 // neighborGW caches the gateway identity of a nearby grid, learned from
 // overheard gflag HELLOs; used to unicast grid-addressed messages.
 type neighborGW struct {
+	cell grid.Coord
 	id   hostid.ID
 	seen float64
 }
@@ -69,7 +70,6 @@ type Protocol struct {
 	helloTicker *sim.Ticker
 	seqNo       uint32
 	bcastID     uint32
-	cellScratch []grid.Coord // sortedNeighborCells reuse
 
 	// --- election ---
 	electing      bool
@@ -83,7 +83,7 @@ type Protocol struct {
 	table      *routing.Table
 	buffer     *routing.Buffer
 	dup        *routing.DupCache
-	neighbors  map[grid.Coord]neighborGW
+	neighbors  []neighborGW // sorted by cell (X, Y); see neighborGWAt
 	gwLevelAt  energy.Level // battery band when elected (load balance)
 	discovery  map[hostid.ID]*discoveryState
 	holds      map[hostid.ID]int // per-destination handover hold retries
@@ -119,7 +119,6 @@ func New(h *node.Host, opt Options) *Protocol {
 		table:      routing.NewTable(opt.RouteTTL),
 		buffer:     routing.NewBuffer(opt.BufferPerDest),
 		dup:        routing.NewDupCache(opt.DupTTL),
-		neighbors:  make(map[grid.Coord]neighborGW),
 		discovery:  make(map[hostid.ID]*discoveryState),
 		holds:      make(map[hostid.ID]int),
 		pendingReq: make(map[hostid.ID]pendingRREQ),
@@ -354,7 +353,7 @@ func (p *Protocol) handleHello(m *routing.Hello) {
 		// Different grid: only gateway identities matter (they let us
 		// unicast grid-addressed traffic).
 		if m.GFlag {
-			p.neighbors[m.Grid] = neighborGW{id: m.ID, seen: now}
+			p.noteNeighborGW(m.Grid, m.ID, now)
 		}
 		return
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ecgrid/internal/hostid"
 	"ecgrid/internal/radio"
 	"ecgrid/internal/routing"
@@ -20,11 +22,7 @@ func (p *Protocol) TxFailed(f *radio.Frame) {
 	// Negative neighbor feedback: if the dead unicast addressed a
 	// cached neighbor gateway, that cache entry is wrong — drop it so
 	// the next decision does not repeat the mistake.
-	for _, c := range p.sortedNeighborCells() {
-		if p.neighbors[c].id == f.Dst {
-			delete(p.neighbors, c)
-		}
-	}
+	p.neighbors = slices.DeleteFunc(p.neighbors, func(n neighborGW) bool { return n.id == f.Dst })
 	if p.role != roleGateway {
 		// A member's unicast to its gateway died: the gateway is gone.
 		// Re-queue the packet and run the ACQ/no-gateway machinery.

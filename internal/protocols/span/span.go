@@ -26,6 +26,7 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -102,10 +103,23 @@ type Stats struct {
 
 // neighborInfo is what a host knows about a neighbor from its HELLOs.
 type neighborInfo struct {
+	id          hostid.ID
 	coordinator bool
 	seen        float64
-	neighbors   map[hostid.ID]bool // the neighbor's own neighbor set
+	// neighbors is the neighbor's own neighbor set: the Neighbors slice
+	// of its latest HELLO, kept by reference. It is ID-sorted, and the
+	// sender builds a fresh one for every HELLO, so it never changes
+	// under the receivers sharing it.
+	neighbors []hostid.ID
 }
+
+// hears reports whether id is in the neighbor's own neighbor set.
+func (n *neighborInfo) hears(id hostid.ID) bool {
+	_, ok := slices.BinarySearch(n.neighbors, id)
+	return ok
+}
+
+func compareID(n neighborInfo, id hostid.ID) int { return cmp.Compare(n.id, id) }
 
 // Hello is Span's topology announcement.
 type Hello struct {
@@ -133,7 +147,7 @@ type Protocol struct {
 	coordSince    float64
 	withdrawSince float64 // when withdrawal first looked safe; 0 = not pending
 
-	neighbors map[hostid.ID]*neighborInfo
+	neighbors []neighborInfo // sorted by id
 
 	helloTicker *sim.Ticker
 	checkTicker *sim.Ticker
@@ -149,7 +163,7 @@ func New(h *node.Host, opt Options) *Protocol {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Protocol{host: h, opt: opt, neighbors: make(map[hostid.ID]*neighborInfo)}
+	p := &Protocol{host: h, opt: opt}
 	p.HostAODV = routing.NewHostAODV(h, opt.AODVOptions, p, &p.Stats.AODVStats, opt.BeaconPeriod)
 	p.cycleTimer = sim.NewTimer(h.Engine(), p.cycleSleep)
 	return p
@@ -227,16 +241,16 @@ func (p *Protocol) AnswersFor(dst hostid.ID) bool {
 	if !p.coordinator {
 		return false
 	}
-	n, ok := p.neighbors[dst]
-	return ok && p.host.Now()-n.seen <= p.opt.NeighborTTL
+	n := p.neighbor(dst)
+	return n != nil && p.fresh(n)
 }
 
 // HoldsForWake reports whether dst is a duty-cycled neighbour: it may be
 // asleep right now, so traffic waits for its beacon-window HELLO. If it
 // is awake, the flush happens within one beacon period anyway.
 func (p *Protocol) HoldsForWake(dst hostid.ID) bool {
-	n, ok := p.neighbors[dst]
-	return ok && !n.coordinator
+	n := p.neighbor(dst)
+	return n != nil && !n.coordinator
 }
 
 // LinkFailed tries an alternate route first, then re-discovers the
@@ -299,31 +313,43 @@ func (p *Protocol) sendHello() {
 		})
 }
 
+// freshNeighborIDs returns the IDs of the neighbors heard within
+// NeighborTTL, ascending, in a fresh slice: sendHello hands it to every
+// receiver of the HELLO, which keep it.
 func (p *Protocol) freshNeighborIDs() []hostid.ID {
-	now := p.host.Now()
 	ids := make([]hostid.ID, 0, len(p.neighbors))
-	for id, n := range p.neighbors { //simlint:ordered output is sorted below
-
-		if now-n.seen <= p.opt.NeighborTTL {
-			ids = append(ids, id)
+	for i := range p.neighbors {
+		if n := &p.neighbors[i]; p.fresh(n) {
+			ids = append(ids, n.id)
 		}
 	}
-	slices.Sort(ids)
 	return ids
 }
 
-func (p *Protocol) handleHello(m *Hello) {
-	n, ok := p.neighbors[m.ID]
+// fresh reports whether n was heard within NeighborTTL.
+func (p *Protocol) fresh(n *neighborInfo) bool {
+	return p.host.Now()-n.seen <= p.opt.NeighborTTL
+}
+
+// neighbor returns the table entry for id, nil when unknown. The pointer
+// is valid until the table next changes.
+func (p *Protocol) neighbor(id hostid.ID) *neighborInfo {
+	i, ok := slices.BinarySearchFunc(p.neighbors, id, compareID)
 	if !ok {
-		n = &neighborInfo{neighbors: make(map[hostid.ID]bool)}
-		p.neighbors[m.ID] = n
+		return nil
 	}
+	return &p.neighbors[i]
+}
+
+func (p *Protocol) handleHello(m *Hello) {
+	i, ok := slices.BinarySearchFunc(p.neighbors, m.ID, compareID)
+	if !ok {
+		p.neighbors = slices.Insert(p.neighbors, i, neighborInfo{id: m.ID})
+	}
+	n := &p.neighbors[i]
 	n.coordinator = m.Coordinator
 	n.seen = p.host.Now()
-	clear(n.neighbors)
-	for _, id := range m.Neighbors {
-		n.neighbors[id] = true
-	}
+	n.neighbors = m.Neighbors
 	// The sender is provably awake: flush anything held for its beacon
 	// window.
 	p.FlushTo(m.ID)
@@ -343,12 +369,7 @@ func (p *Protocol) checkTick() {
 }
 
 func (p *Protocol) pruneNeighbors() {
-	now := p.host.Now()
-	for id, n := range p.neighbors { //simlint:ordered deletion-only sweep
-		if now-n.seen > p.opt.NeighborTTL {
-			delete(p.neighbors, id)
-		}
-	}
+	p.neighbors = slices.DeleteFunc(p.neighbors, func(n neighborInfo) bool { return !p.fresh(&n) })
 }
 
 // uncoveredPair reports whether some pair of this host's neighbors cannot
@@ -356,14 +377,18 @@ func (p *Protocol) pruneNeighbors() {
 // (pass hostid.None to exclude nobody). This is Span's eligibility
 // condition, restricted to one intermediate coordinator.
 func (p *Protocol) uncoveredPair(skip hostid.ID) bool {
-	ids := p.freshNeighborIDs()
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			u, v := p.neighbors[ids[i]], p.neighbors[ids[j]]
-			if u.neighbors[ids[j]] || v.neighbors[ids[i]] {
-				continue // direct link
+	ns := p.neighbors
+	for i := range ns {
+		u := &ns[i]
+		if !p.fresh(u) {
+			continue
+		}
+		for j := i + 1; j < len(ns); j++ {
+			v := &ns[j]
+			if !p.fresh(v) || u.hears(v.id) || v.hears(u.id) {
+				continue // stale, or a direct link
 			}
-			if p.coveredByCoordinator(ids[i], ids[j], skip) {
+			if p.coveredByCoordinator(u.id, v.id, skip) {
 				continue
 			}
 			return true
@@ -375,15 +400,12 @@ func (p *Protocol) uncoveredPair(skip hostid.ID) bool {
 // coveredByCoordinator reports whether some coordinator (≠ skip) is a
 // mutual neighbor of a and b.
 func (p *Protocol) coveredByCoordinator(a, b, skip hostid.ID) bool {
-	//simlint:ordered existential scan: any witness gives the same answer
-	for cid, c := range p.neighbors {
-		if cid == skip || !c.coordinator {
+	for i := range p.neighbors {
+		c := &p.neighbors[i]
+		if c.id == skip || !c.coordinator || !p.fresh(c) {
 			continue
 		}
-		if now := p.host.Now(); now-c.seen > p.opt.NeighborTTL {
-			continue
-		}
-		if c.neighbors[a] && c.neighbors[b] {
+		if c.hears(a) && c.hears(b) {
 			return true
 		}
 	}

@@ -118,6 +118,8 @@ type Server struct {
 	mu        sync.Mutex
 	jobs      map[string]*job
 	perClient map[string]int
+	closed    bool           // set by Close; admit refuses new jobs
+	running   sync.WaitGroup // one count per runJob goroutine
 }
 
 // New builds a server over the given store.
@@ -191,10 +193,18 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close cancels the server's base context, failing jobs still waiting
-// for worker slots. Call it after draining the HTTP listener
-// (http.Server.Shutdown), not before: in-flight simulations cannot be
-// preempted, but their waiters should be allowed to collect results.
-func (s *Server) Close() { s.cancel() }
+// for worker slots, refuses new jobs, and returns once every job it
+// started has finished, including its store write. Call it after
+// draining the HTTP listener (http.Server.Shutdown), not before:
+// in-flight simulations cannot be preempted, so Close waits for them,
+// and their waiters should be allowed to collect results.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.cancel()
+	s.running.Wait()
+}
 
 // timed wraps a handler with its endpoint latency histogram.
 func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
@@ -412,6 +422,9 @@ func (s *Server) admit(key, client string, cfg scenario.Config) (j *job, joined 
 		// not work.
 		return j, true, ""
 	}
+	if s.closed {
+		return nil, false, "server is shutting down"
+	}
 	if len(s.jobs) >= s.queueCap {
 		return nil, false, fmt.Sprintf("queue full (%d jobs in flight)", len(s.jobs))
 	}
@@ -429,6 +442,7 @@ func (s *Server) admit(key, client string, cfg scenario.Config) (j *job, joined 
 	}
 	s.jobs[key] = j
 	s.perClient[client]++
+	s.running.Add(1)
 	go s.runJob(j)
 	return j, false, ""
 }
@@ -436,6 +450,7 @@ func (s *Server) admit(key, client string, cfg scenario.Config) (j *job, joined 
 // runJob owns one admitted job: acquire a worker slot, execute, store,
 // publish, release.
 func (s *Server) runJob(j *job) {
+	defer s.running.Done()
 	defer func() {
 		s.mu.Lock()
 		delete(s.jobs, j.key)

@@ -364,6 +364,66 @@ func TestPerClientFairness(t *testing.T) {
 	readAll(t, resp2)
 }
 
+// TestCloseWaitsForRunningJobs holds one simulation in flight, calls
+// Close, and releases the simulation only afterwards: Close must not
+// return until the job has written its result to the store. (A job
+// outliving Close used to write into a store whose directory the owner
+// was already deleting.)
+func TestCloseWaitsForRunningJobs(t *testing.T) {
+	// started has room for every job the test could submit, so a job
+	// wrongly admitted during Close cannot block on it.
+	started, release := make(chan string, 2), make(chan struct{})
+	var releaseOnce sync.Once
+	releaseJobs := func() { releaseOnce.Do(func() { close(release) }) }
+	ts, srv, st := newTestServer(t, func(c *Config) {
+		// Like a real simulation, this run cannot be preempted: it
+		// ignores ctx.
+		c.Run = func(ctx context.Context, tag string, cfg scenario.Config) (*runner.Results, error) {
+			started <- tag
+			<-release
+			return &runner.Results{Cfg: cfg, Sent: 1, Delivered: 1}, nil
+		}
+	})
+	// Registered after the server's cleanup, so it runs first: a failed
+	// assertion must not leave the cleanup's Close waiting forever.
+	t.Cleanup(releaseJobs)
+	resp := postRun(t, ts, smallCfg(1), "?wait=0")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit → %d, want 202", resp.StatusCode)
+	}
+	var accepted struct{ Key string }
+	if err := json.Unmarshal(readAll(t, resp), &accepted); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	// A closing server admits nothing new.
+	resp2 := postRun(t, ts, smallCfg(2), "?wait=0")
+	if body := readAll(t, resp2); resp2.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit during Close → %d (%s), want 429", resp2.StatusCode, body)
+	}
+
+	releaseJobs()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned after the job was released")
+	}
+	if _, ok, err := st.GetBytes(accepted.Key); err != nil || !ok {
+		t.Fatalf("Close returned before the job stored its result (ok=%v, err=%v)", ok, err)
+	}
+}
+
 func TestResultEndpointErrors(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + "/v1/result/not-a-key")

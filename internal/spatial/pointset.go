@@ -12,10 +12,13 @@ import (
 // transmission so carrier sense asks "is anything radiating within
 // range of p?" against the local cells only. Points never move between
 // Add and Remove, so they are bucketed by their exact coordinates and
-// queries need no staleness margin beyond the float-slop guard.
+// queries need no staleness margin beyond the float-slop guard. Cells
+// live in the same dense row-major box as Index's buckets, so a probe
+// reads slices and never hashes.
 type PointSet struct {
 	side  float64
-	cells map[cellKey][]anchored
+	box   box
+	cells [][]anchored
 	n     int
 }
 
@@ -29,24 +32,26 @@ func NewPointSet(side float64) *PointSet {
 	if side <= 0 {
 		panic(fmt.Sprintf("spatial: invalid point-set cell side %v", side))
 	}
-	return &PointSet{side: side, cells: make(map[cellKey][]anchored)}
+	return &PointSet{side: side}
 }
 
 // Len returns the number of stored points.
 func (ps *PointSet) Len() int { return ps.n }
 
-func (ps *PointSet) keyOf(p geom.Point) cellKey {
-	return cellKey{
-		int32(math.Floor(p.X / ps.side)),
-		int32(math.Floor(p.Y / ps.side)),
-	}
+func (ps *PointSet) coord(x float64) int32 {
+	return int32(math.Floor(x / ps.side))
 }
 
 // Add stores a point under the caller's id. The same id must not be
 // live twice.
 func (ps *PointSet) Add(id uint64, at geom.Point) {
-	k := ps.keyOf(at)
-	ps.cells[k] = append(ps.cells[k], anchored{id: id, at: at})
+	k := cellKey{ps.coord(at.X), ps.coord(at.Y)}
+	if nb, grow := ps.box.grownTo(k); grow {
+		ps.cells = relocate(ps.box, nb, ps.cells)
+		ps.box = nb
+	}
+	i, _ := ps.box.slot(k.cx, k.cy)
+	ps.cells[i] = append(ps.cells[i], anchored{id: id, at: at})
 	ps.n++
 }
 
@@ -54,14 +59,15 @@ func (ps *PointSet) Add(id uint64, at geom.Point) {
 // coordinates. Removing a point that was never added panics: it means
 // the caller's bookkeeping diverged from the set's.
 func (ps *PointSet) Remove(id uint64, at geom.Point) {
-	k := ps.keyOf(at)
-	bucket := ps.cells[k]
-	for i := range bucket {
-		if bucket[i].id == id {
-			bucket[i] = bucket[len(bucket)-1]
-			ps.cells[k] = bucket[:len(bucket)-1]
-			ps.n--
-			return
+	if i, ok := ps.box.slot(ps.coord(at.X), ps.coord(at.Y)); ok {
+		bucket := ps.cells[i]
+		for j := range bucket {
+			if bucket[j].id == id {
+				bucket[j] = bucket[len(bucket)-1]
+				ps.cells[i] = bucket[:len(bucket)-1]
+				ps.n--
+				return
+			}
 		}
 	}
 	panic(fmt.Sprintf("spatial: point %d missing from its cell", id))
@@ -69,22 +75,25 @@ func (ps *PointSet) Remove(id uint64, at geom.Point) {
 
 // AnyWithin reports whether any stored point lies within radius of p
 // (boundary inclusive, matching the channel's closed range check). The
-// scan covers only the cells overlapping the query square; each
-// candidate is confirmed with the exact squared distance, so the answer
-// is identical to a linear scan over every stored point.
+// scan covers only the cells overlapping the query square, clamped to
+// the occupied box; each candidate is confirmed with the exact squared
+// distance, so the answer is identical to a linear scan over every
+// stored point.
 func (ps *PointSet) AnyWithin(p geom.Point, radius float64) bool {
 	if ps.n == 0 {
 		return false
 	}
 	reach := radius + slackGuard
-	cx0 := int32(math.Floor((p.X - reach) / ps.side))
-	cx1 := int32(math.Floor((p.X + reach) / ps.side))
-	cy0 := int32(math.Floor((p.Y - reach) / ps.side))
-	cy1 := int32(math.Floor((p.Y + reach) / ps.side))
+	b := ps.box
+	cx0 := max(ps.coord(p.X-reach), b.minX)
+	cx1 := min(ps.coord(p.X+reach), b.minX+b.w-1)
+	cy0 := max(ps.coord(p.Y-reach), b.minY)
+	cy1 := min(ps.coord(p.Y+reach), b.minY+b.h-1)
 	r2 := radius * radius
 	for cy := cy0; cy <= cy1; cy++ {
+		row := ps.cells[(cy-b.minY)*b.w:]
 		for cx := cx0; cx <= cx1; cx++ {
-			for _, a := range ps.cells[cellKey{cx, cy}] {
+			for _, a := range row[cx-b.minX] {
 				if a.at.Dist2(p) <= r2 {
 					return true
 				}

@@ -102,11 +102,9 @@ type Index[T any] struct {
 	byID   map[hostid.ID]*entry[T]
 }
 
-// cellGrid is the bucket store: a dense row-major array covering the
-// bounding box of every occupied cell. Mobility areas are bounded, so
-// the box stays small and a bucket fetch is one slice load — the query
-// loop touches dozens of cells per transmission, where a map lookup
-// per cell was measurably hot.
+// cellGrid is the bucket store: a dense row-major array over the box of
+// every occupied cell (see box). The query loop touches dozens of cells
+// per transmission, where a map lookup per cell was measurably hot.
 //
 // epochs runs parallel to buckets: a monotonic per-cell counter bumped
 // on every membership change of the cell (add, remove, re-bucket in or
@@ -116,25 +114,23 @@ type Index[T any] struct {
 // an (epoch now == epoch then) comparison proves the cell's membership
 // (and every Touch-signalled payload state) is unchanged since then.
 type cellGrid[T any] struct {
-	minX, minY int32
-	w, h       int32
-	buckets    [][]*entry[T]
-	epochs     []uint64
+	box
+	buckets [][]*entry[T]
+	epochs  []uint64
 }
 
 // at returns the bucket for (cx, cy), nil when outside the occupied box.
 func (g *cellGrid[T]) at(cx, cy int32) []*entry[T] {
-	cx -= g.minX
-	cy -= g.minY
-	if uint32(cx) >= uint32(g.w) || uint32(cy) >= uint32(g.h) {
+	i, ok := g.slot(cx, cy)
+	if !ok {
 		return nil
 	}
-	return g.buckets[cy*g.w+cx]
+	return g.buckets[i]
 }
 
 func (g *cellGrid[T]) add(k cellKey, e *entry[T]) {
 	g.ensure(k)
-	i := (k.cy-g.minY)*g.w + (k.cx - g.minX)
+	i, _ := g.slot(k.cx, k.cy)
 	g.buckets[i] = append(g.buckets[i], e)
 	g.epochs[i]++
 }
@@ -143,12 +139,11 @@ func (g *cellGrid[T]) add(k cellKey, e *entry[T]) {
 // are implicitly at epoch 0 (growth starts them there, so the value is
 // stable until a first add).
 func (g *cellGrid[T]) epochAt(cx, cy int32) uint64 {
-	cx -= g.minX
-	cy -= g.minY
-	if uint32(cx) >= uint32(g.w) || uint32(cy) >= uint32(g.h) {
+	i, ok := g.slot(cx, cy)
+	if !ok {
 		return 0
 	}
-	return g.epochs[cy*g.w+cx]
+	return g.epochs[i]
 }
 
 // bump advances the epoch of an occupied cell. The cell must be inside
@@ -157,49 +152,22 @@ func (g *cellGrid[T]) bump(k cellKey) {
 	g.epochs[(k.cy-g.minY)*g.w+(k.cx-g.minX)]++
 }
 
-// ensure grows the box to include k, over-allocating a two-cell margin
-// per side so a host oscillating at the frontier doesn't re-grow.
+// ensure grows the box to include k.
 func (g *cellGrid[T]) ensure(k cellKey) {
-	if g.w == 0 {
-		g.minX, g.minY = k.cx-2, k.cy-2
-		g.w, g.h = 5, 5
-		g.buckets = make([][]*entry[T], int(g.w)*int(g.h))
-		g.epochs = make([]uint64, int(g.w)*int(g.h))
+	nb, grow := g.grownTo(k)
+	if !grow {
 		return
 	}
-	if k.cx >= g.minX && k.cy >= g.minY && k.cx < g.minX+g.w && k.cy < g.minY+g.h {
-		return
-	}
-	minX, minY := g.minX, g.minY
-	maxX, maxY := g.minX+g.w-1, g.minY+g.h-1
-	if k.cx < minX {
-		minX = k.cx - 2
-	}
-	if k.cy < minY {
-		minY = k.cy - 2
-	}
-	if k.cx > maxX {
-		maxX = k.cx + 2
-	}
-	if k.cy > maxY {
-		maxY = k.cy + 2
-	}
-	w, h := maxX-minX+1, maxY-minY+1
-	buckets := make([][]*entry[T], int(w)*int(h))
-	epochs := make([]uint64, int(w)*int(h))
-	for y := int32(0); y < g.h; y++ {
-		copy(buckets[(y+g.minY-minY)*w+(g.minX-minX):], g.buckets[y*g.w:(y+1)*g.w])
-		copy(epochs[(y+g.minY-minY)*w+(g.minX-minX):], g.epochs[y*g.w:(y+1)*g.w])
-	}
-	g.minX, g.minY, g.w, g.h, g.buckets, g.epochs = minX, minY, w, h, buckets, epochs
+	g.buckets = relocate(g.box, nb, g.buckets)
+	g.epochs = relocate(g.box, nb, g.epochs)
+	g.box = nb
 }
 
 func (g *cellGrid[T]) remove(k cellKey, e *entry[T]) bool {
-	cx, cy := k.cx-g.minX, k.cy-g.minY
-	if uint32(cx) >= uint32(g.w) || uint32(cy) >= uint32(g.h) {
+	i, ok := g.slot(k.cx, k.cy)
+	if !ok {
 		return false
 	}
-	i := cy*g.w + cx
 	bucket := g.buckets[i]
 	for j, o := range bucket {
 		if o == e {
