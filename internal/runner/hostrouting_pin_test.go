@@ -10,6 +10,7 @@ import (
 	"ecgrid/internal/protocols/gaf"
 	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
+	"ecgrid/internal/scengen"
 )
 
 // TestHostRoutingFingerprintsPinned pins the complete outcome of the
@@ -71,4 +72,52 @@ func TestHostRoutingFingerprintsPinned(t *testing.T) {
 			t.Errorf("batch.Key = %s, want %s", got, want)
 		}
 	})
+}
+
+// TestCoreFingerprintsPinned pins the grid protocols the same way
+// TestHostRoutingFingerprintsPinned pins the host-by-host ones. Every
+// counter, energy sample and trace line is a function of event order, so
+// any change to the event queue, the mobility models or the RAS paging
+// path that reorders a single event changes these hashes. The cases
+// cover the dense ECGRID run, a GRID run at the paper's smallest
+// population, and a generated clustered Manhattan scenario whose
+// timers pile up on shared instants.
+func TestCoreFingerprintsPinned(t *testing.T) {
+	small := func(p scenario.ProtocolKind, hosts int, duration float64, seed int64) scenario.Config {
+		cfg := scenario.Default(p)
+		cfg.Hosts = hosts
+		cfg.Duration = duration
+		cfg.Seed = seed
+		return cfg
+	}
+	// A clustered Manhattan street scenario at the density of
+	// scenarios/dense-manhattan-10k.json: 500 hosts on 1117 m square.
+	clustered := small(scenario.ECGRID, 500, 4, 3)
+	clustered.AreaSize = 1117
+	clustered.MaxSpeedMS = 10
+	clustered.Flows = 10
+	clustered.TrafficStart = 1
+	clustered.SampleEvery = 2
+	clustered.Gen = &scengen.Spec{
+		Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 4, StdDevM: 120},
+		Mobility:   &scengen.Mobility{Kind: scengen.MobilityManhattan, BlockM: 250},
+		Traffic:    &scengen.Traffic{Kind: scengen.TrafficOnOff, MeanOnS: 2, MeanOffS: 3},
+	}
+	cases := []struct {
+		name string
+		cfg  scenario.Config
+		want string
+	}{
+		{"ecgrid-n200", small(scenario.ECGRID, 200, 45, 229), "af67a4282dddab1ec63c5b925ed7564fc6f65a81b23094eb56366c212e6983b8"},
+		{"grid-n50", small(scenario.GRID, 50, 300, 79), "8481d0d928854eda9ed003c7d7b2d288f7fce26675b3b728b4c91773ae5302bc"},
+		{"clustered-manhattan-n500", clustered, "3399599a6462e8cd466c65e3717d5102345bc387c40ec9d7013b656ca0c76503"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sum := sha256.Sum256([]byte(runner.Fingerprint(c.cfg)))
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("fingerprint hash = %s, want %s", got, c.want)
+			}
+		})
+	}
 }
