@@ -194,6 +194,38 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	e.RunAll()
 }
 
+// BenchmarkEngineClustered measures the event queue in the shape of the
+// 10k-host soak: 50,000 pending timers, 1,000 of them due at each shared
+// instant, each re-arming itself one period later when it fires. One op
+// is one fired event; the steady state allocates nothing.
+func BenchmarkEngineClustered(b *testing.B) {
+	const (
+		timers   = 50000
+		instants = 50    // timers/instants = 1,000 timers per instant
+		gap      = 0.002 // seconds between neighbouring instants
+		period   = instants * gap
+	)
+	e := sim.NewEngine()
+	ts := make([]*sim.Timer, timers)
+	fired := 0
+	for i := range ts {
+		i := i
+		ts[i] = sim.NewTimer(e, func() {
+			ts[i].Reset(period)
+			if fired++; fired == b.N {
+				e.Stop()
+			}
+		})
+		ts[i].Reset(float64(i%instants) * gap)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+	if fired != b.N {
+		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+}
+
 // BenchmarkMobilityPosition measures random-waypoint position queries.
 func BenchmarkMobilityPosition(b *testing.B) {
 	b.ReportAllocs()

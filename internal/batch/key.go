@@ -14,8 +14,8 @@ import (
 // results — the property manifests and resume rely on. The encoding is
 // canonical because Config is a plain struct (fields encode in
 // declaration order, no maps) and its runtime-only fields — the Trace
-// recorder and the execution settings Shards, HeapScheduler,
-// Radio.BruteForce and Radio.NoRxCache — are excluded from
+// recorder and the execution settings Shards, Radio.BruteForce and
+// Radio.NoRxCache — are excluded from
 // serialization. The key names the model, not how it is executed: a
 // serial and a sharded run of one config share it.
 func Key(cfg scenario.Config) string {

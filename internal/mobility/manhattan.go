@@ -24,7 +24,7 @@ type Manhattan struct {
 	rng      randSource
 
 	legs []leg
-	cur  int // index of the last leg returned by legAt (memo)
+	hot  leg // copy of the leg legAt last returned (memo)
 
 	// Generator state: the intersection and heading after the last
 	// generated leg. Headings are lattice steps in {-1, 0, 1}².
@@ -58,7 +58,8 @@ func NewManhattan(area geom.Rect, start geom.Point, blockM, maxSpeed, pause floa
 	}
 	m.ix = clampIdx(int((start.X-area.Min.X)/blockM+0.5), nx)
 	m.iy = clampIdx(int((start.Y-area.Min.Y)/blockM+0.5), ny)
-	m.legs = append(m.legs, m.nextLeg(0))
+	m.hot = m.nextLeg(0)
+	m.legs = append(m.legs, m.hot)
 	return m
 }
 
@@ -147,12 +148,13 @@ func (m *Manhattan) nextLeg(start float64) leg {
 
 // legAt returns the leg containing time t, generating legs as needed.
 // Same memo-then-search scheme as RandomWaypoint.legAt: legs tile time
-// contiguously as [start, pauseEnd).
+// contiguously as [start, pauseEnd), and the returned pointer is to the
+// inline copy m.hot.
 func (m *Manhattan) legAt(t float64) *leg {
 	if t < 0 {
 		panic("mobility: negative time")
 	}
-	if l := &m.legs[m.cur]; l.start <= t && t < l.pauseEnd {
+	if l := &m.hot; l.start <= t && t < l.pauseEnd {
 		return l
 	}
 	for m.legs[len(m.legs)-1].pauseEnd <= t {
@@ -167,8 +169,8 @@ func (m *Manhattan) legAt(t float64) *leg {
 			lo = mid + 1
 		}
 	}
-	m.cur = lo
-	return &m.legs[lo]
+	m.hot = m.legs[lo]
+	return &m.hot
 }
 
 // Position implements Model.

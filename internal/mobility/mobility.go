@@ -86,7 +86,9 @@ type RandomWaypoint struct {
 	pause    float64
 	rng      randSource
 	legs     []leg
-	cur      int // index of the last leg returned by legAt (memo)
+	// hot is a copy of the leg legAt last returned (the memo). Legs are
+	// append-only and never modified, so the copy cannot go stale.
+	hot leg
 }
 
 // NewRandomWaypoint creates a waypoint process starting at `start` at time
@@ -101,7 +103,8 @@ func NewRandomWaypoint(area geom.Rect, start geom.Point, maxSpeed, pause float64
 		panic("mobility: negative pause time")
 	}
 	w := &RandomWaypoint{area: area, maxSpeed: maxSpeed, pause: pause, rng: rng}
-	w.legs = append(w.legs, w.nextLeg(0, start))
+	w.hot = w.nextLeg(0, start)
+	w.legs = append(w.legs, w.hot)
 	return w
 }
 
@@ -123,16 +126,17 @@ func (w *RandomWaypoint) nextLeg(start float64, from geom.Point) leg {
 
 // legAt returns the leg containing time t, generating legs as needed.
 // The last hit is memoized: legs tile time contiguously as
-// [start, pauseEnd), so a containment check on the cached index gives
-// the same answer the binary search would, and simulation queries are
-// overwhelmingly clustered within one leg. The returned pointer is into
-// w.legs and is only valid until the next legAt call (growth may move
-// the backing array).
+// [start, pauseEnd), so a containment check on the cached leg gives the
+// same answer the binary search would, and simulation queries are
+// overwhelmingly clustered within one leg. The check reads the inline
+// copy w.hot rather than w.legs, which keeps the common case off the
+// slice's backing array. The returned pointer is to w.hot and is only
+// valid until the next legAt call.
 func (w *RandomWaypoint) legAt(t float64) *leg {
 	if t < 0 {
 		panic("mobility: negative time")
 	}
-	if l := &w.legs[w.cur]; l.start <= t && t < l.pauseEnd {
+	if l := &w.hot; l.start <= t && t < l.pauseEnd {
 		return l
 	}
 	last := w.legs[len(w.legs)-1]
@@ -154,8 +158,8 @@ func (w *RandomWaypoint) legAt(t float64) *leg {
 			lo = mid + 1
 		}
 	}
-	w.cur = lo
-	return &w.legs[lo]
+	w.hot = w.legs[lo]
+	return &w.hot
 }
 
 // Position returns the host location at time t.

@@ -23,7 +23,7 @@ type RandomDirection struct {
 	pause float64
 	rng   randSource
 	legs  []dirLeg
-	cur   int // index of the last leg returned by legAt (memo)
+	hot   dirLeg // copy of the leg legAt last returned (memo)
 }
 
 type dirLeg struct {
@@ -41,7 +41,8 @@ func NewRandomDirection(area geom.Rect, start geom.Point, speed, epochSecs, paus
 		panic("mobility: invalid random-direction parameters")
 	}
 	m := &RandomDirection{area: area, speed: speed, epoch: epochSecs, pause: pauseSecs, rng: rng}
-	m.legs = append(m.legs, m.nextLeg(0, start))
+	m.hot = m.nextLeg(0, start)
+	m.legs = append(m.legs, m.hot)
 	return m
 }
 
@@ -61,8 +62,8 @@ func (m *RandomDirection) legAt(t float64) dirLeg {
 		panic("mobility: negative time")
 	}
 	// Same memo as RandomWaypoint.legAt: legs tile [start, pauseEnd), so
-	// the cached index answers clustered queries without searching.
-	if l := m.legs[m.cur]; l.start <= t && t < l.pauseEnd {
+	// the cached leg answers clustered queries without searching.
+	if l := m.hot; l.start <= t && t < l.pauseEnd {
 		return l
 	}
 	last := m.legs[len(m.legs)-1]
@@ -72,8 +73,8 @@ func (m *RandomDirection) legAt(t float64) dirLeg {
 		last = next
 	}
 	i := sort.Search(len(m.legs), func(i int) bool { return m.legs[i].pauseEnd > t })
-	m.cur = i
-	return m.legs[i]
+	m.hot = m.legs[i]
+	return m.hot
 }
 
 // positionInLeg folds the unbounded straight-line position back into the

@@ -10,47 +10,72 @@ import (
 
 // TestLegMemoMatchesFreshModel pins the legAt memo down: a model that
 // has answered thousands of clustered and interleaved queries must
-// report exactly the positions and velocities a fresh model (same seed,
-// so identical legs) reports when asked cold. Any memo staleness would
-// surface as a bit-level difference.
+// report exactly the positions, velocities and turn times a fresh model
+// (same seed, so identical legs) reports when asked cold. Any memo
+// staleness would surface as a bit-level difference.
 func TestLegMemoMatchesFreshModel(t *testing.T) {
 	// Query times deliberately jump backward and forward so the memo
-	// misses, re-seeks, and re-hits across leg boundaries.
-	times := make([]float64, 0, 4000)
+	// misses, re-seeks, and re-hits across leg boundaries. Every 100
+	// steps a far jump ahead grows the leg slice past its capacity, so
+	// the memo hits that follow come after a reallocation.
+	times := make([]float64, 0, 4100)
 	r := rand.New(rand.NewSource(99))
 	base := 0.0
 	for i := 0; i < 1000; i++ {
 		base += r.Float64() * 2
 		times = append(times, base, base+0.01, math.Max(0, base-30), base)
+		if i%100 == 99 {
+			times = append(times, base+float64(i)*5, base, base+0.02)
+		}
 	}
 
-	t.Run("waypoint", func(t *testing.T) {
-		warm := newRWP(7, 12, 3)
-		for _, u := range times {
-			cold := newRWP(7, 12, 3) // no memo, no cached legs beyond the first
-			if got, want := warm.Position(u), cold.Position(u); got != want {
-				t.Fatalf("Position(%v): memoized %v != fresh %v", u, got, want)
+	type legModel interface {
+		Model
+		TurnAware
+	}
+	cases := []struct {
+		name   string
+		mk     func() legModel
+		legCap func(legModel) int
+	}{
+		{"waypoint",
+			func() legModel { return newRWP(7, 12, 3) },
+			func(m legModel) int { return cap(m.(*RandomWaypoint).legs) }},
+		{"direction",
+			func() legModel {
+				return NewRandomDirection(testArea(), geom.Point{X: 500, Y: 500}, 8, 15, 2, rand.New(rand.NewSource(11)))
+			},
+			func(m legModel) int { return cap(m.(*RandomDirection).legs) }},
+		{"manhattan",
+			func() legModel {
+				return NewManhattan(testArea(), geom.Point{X: 437, Y: 291}, 100, 12, 3, rand.New(rand.NewSource(13)))
+			},
+			func(m legModel) int { return cap(m.(*Manhattan).legs) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			warm := c.mk()
+			reallocs, lastCap := 0, c.legCap(warm)
+			for _, u := range times {
+				cold := c.mk() // no memo, no cached legs beyond the first
+				if got, want := warm.Position(u), cold.Position(u); got != want {
+					t.Fatalf("Position(%v): memoized %v != fresh %v", u, got, want)
+				}
+				if got, want := warm.Velocity(u), cold.Velocity(u); got != want {
+					t.Fatalf("Velocity(%v): memoized %v != fresh %v", u, got, want)
+				}
+				if got, want := warm.NextTurn(u), cold.NextTurn(u); got != want {
+					t.Fatalf("NextTurn(%v): memoized %v != fresh %v", u, got, want)
+				}
+				if n := c.legCap(warm); n != lastCap {
+					reallocs, lastCap = reallocs+1, n
+				}
 			}
-			if got, want := warm.Velocity(u), cold.Velocity(u); got != want {
-				t.Fatalf("Velocity(%v): memoized %v != fresh %v", u, got, want)
+			if reallocs < 3 {
+				t.Fatalf("leg slice reallocated %d times, want at least 3", reallocs)
 			}
-		}
-	})
-	t.Run("direction", func(t *testing.T) {
-		mk := func() *RandomDirection {
-			return NewRandomDirection(testArea(), geom.Point{X: 500, Y: 500}, 8, 15, 2, rand.New(rand.NewSource(11)))
-		}
-		warm := mk()
-		for _, u := range times {
-			cold := mk()
-			if got, want := warm.Position(u), cold.Position(u); got != want {
-				t.Fatalf("Position(%v): memoized %v != fresh %v", u, got, want)
-			}
-			if got, want := warm.Velocity(u), cold.Velocity(u); got != want {
-				t.Fatalf("Velocity(%v): memoized %v != fresh %v", u, got, want)
-			}
-		}
-	})
+		})
+	}
 }
 
 func TestNextRectExitStationary(t *testing.T) {

@@ -127,7 +127,7 @@ func denseManhattan1000() scenario.Config {
 // optimization, not a model change: every scenario must produce
 // byte-identical metrics and trace fingerprints at -shards 1 (the
 // serial reference, run verbatim) and every -shards K — the same
-// contract Radio.BruteForce and HeapScheduler are held to. The matrix
+// contract Radio.BruteForce is held to. The matrix
 // spans three protocols, three population sizes (the 1000-host case on
 // a proportionally larger area so density stays paper-like), and shard
 // counts that divide the grid unevenly (7 strips over 10 or 30
@@ -219,42 +219,6 @@ func TestShardEquivalenceGenerated(t *testing.T) {
 		if got := fingerprint(sharded); got != serial {
 			t.Fatalf("-shards %d diverged on a generated scenario — first divergence:\n%s",
 				k, firstDiff(got, serial))
-		}
-	}
-}
-
-// TestSchedulerEquivalence proves the calendar-queue scheduler is an
-// optimization, not a model change: every scenario must produce
-// byte-identical metrics and trace fingerprints under the calendar
-// queue (the default) and under Config.HeapScheduler, the binary-heap
-// reference that reproduces the seed implementation's event order
-// directly from the (when, seq) comparator. The matrix mirrors the
-// spatial test: both protocols, plus sparse vs. dense populations —
-// dense runs push the calendar through resize cycles and long
-// same-bucket chains, sparse runs exercise the empty-year scan and
-// the min-event jump.
-func TestSchedulerEquivalence(t *testing.T) {
-	for _, proto := range []scenario.ProtocolKind{scenario.ECGRID, scenario.SPAN} {
-		for _, hosts := range []int{20, 200} {
-			t.Run(fmt.Sprintf("%s-n%d", proto, hosts), func(t *testing.T) {
-				cfg := scenario.Default(proto)
-				cfg.Hosts = hosts
-				cfg.Duration = 90
-				if hosts >= 200 {
-					cfg.Duration = 45 // dense runs are slow; keep CI snappy
-				}
-				cfg.Seed = int64(29 + hosts)
-
-				ref := cfg
-				ref.HeapScheduler = true
-
-				calendar := fingerprint(cfg)
-				heap := fingerprint(ref)
-				if calendar != heap {
-					t.Fatalf("calendar queue diverged from heap reference — first divergence:\n%s",
-						firstDiff(calendar, heap))
-				}
-			})
 		}
 	}
 }

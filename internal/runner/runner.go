@@ -132,11 +132,7 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sched := sim.Calendar
-	if cfg.HeapScheduler {
-		sched = sim.Heap
-	}
-	engine := sim.NewEngineWith(sched)
+	engine := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
 	gen := cfg.Gen
 	if gen.Empty() {

@@ -13,10 +13,10 @@ import (
 // optimization, not a model change: every scenario must produce
 // byte-identical metrics and trace fingerprints with the cache (the
 // default) and with Radio.NoRxCache, the uncached reference path — the
-// same contract Radio.BruteForce, HeapScheduler, and Shards are held
-// to. The matrix spans the paper protocol and the two duty-cycled
-// baselines (SPAN and GAF sleep most stations, churning the listen
-// epochs the cache is keyed on) across three population sizes; the
+// same contract Radio.BruteForce and Shards are held to. The matrix
+// spans the paper protocol and the two duty-cycled baselines (SPAN and
+// GAF sleep most stations, churning the listen epochs the cache is
+// keyed on) across three population sizes; the
 // faulted variant combines a gateway crash (detach/re-attach epochs, a
 // recovery re-insert) with a jamming window (the Interceptor path must
 // see live receiver positions on cache hits).

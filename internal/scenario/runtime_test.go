@@ -26,7 +26,6 @@ func TestShardsOmitemptyKeepsEncoding(t *testing.T) {
 
 	exec := def
 	exec.Shards = 4
-	exec.HeapScheduler = true
 	exec.Radio.BruteForce = true
 	exec.Radio.NoRxCache = true
 	got, err := json.Marshal(exec)

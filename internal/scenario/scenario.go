@@ -104,12 +104,6 @@ type Config struct {
 	// the defaults (GridOptions for GRID).
 	ECGRIDOptions *core.Options
 	GAFOptions    *gaf.Options
-	// HeapScheduler runs the event engine on the binary-heap reference
-	// scheduler instead of the default calendar queue — sim's analog of
-	// Radio.BruteForce. Both produce byte-identical runs; the knob is a
-	// Go-only test oracle. Runtime-only: not serialized, so it never
-	// reaches a batch key, a stored result or the HTTP API.
-	HeapScheduler bool `json:"-"`
 	// Shards, when ≥ 2, executes the run on the spatially-sharded
 	// parallel engine (internal/shard): the plane is cut into Shards
 	// column strips of grid cells, worker goroutines advance each

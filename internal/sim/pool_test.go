@@ -114,16 +114,14 @@ func TestRescheduleStaleOrCanceled(t *testing.T) {
 // Rescheduling must take a fresh sequence number so the event orders
 // among equal timestamps exactly as cancel-plus-Schedule would.
 func TestRescheduleOrdersAsFreshSchedule(t *testing.T) {
-	for _, kind := range []SchedulerKind{Heap, Calendar} {
-		e := NewEngineWith(kind)
-		var got []string
-		h := e.Schedule(1, func() { got = append(got, "moved") })
-		e.Schedule(3, func() { got = append(got, "first") })
-		e.Reschedule(h, 3) // same instant as "first", but rescheduled later
-		e.RunAll()
-		if len(got) != 2 || got[0] != "first" || got[1] != "moved" {
-			t.Fatalf("kind %v: fire order %v, want [first moved]", kind, got)
-		}
+	e := NewEngine()
+	var got []string
+	h := e.Schedule(1, func() { got = append(got, "moved") })
+	e.Schedule(3, func() { got = append(got, "first") })
+	e.Reschedule(h, 3) // same instant as "first", but rescheduled later
+	e.RunAll()
+	if len(got) != 2 || got[0] != "first" || got[1] != "moved" {
+		t.Fatalf("fire order %v, want [first moved]", got)
 	}
 }
 
