@@ -80,3 +80,36 @@ func TestCancelAfterPopIsNoop(t *testing.T) {
 		t.Fatalf("Processed = %d, want 101", e.Processed())
 	}
 }
+
+// TestCancelCompactsToEmpty: a compaction that finds every queued event
+// canceled must leave an empty, usable queue. 63 cancels stay below the
+// compaction floor; the 64th event brings the queue to the floor, so
+// canceling it compacts a queue with no survivors.
+func TestCancelCompactsToEmpty(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	hs := make([]Handle, 0, compactFloor)
+	for i := 0; i < compactFloor-1; i++ {
+		hs = append(hs, e.Schedule(float64(i), func() { fired++ }))
+	}
+	for _, h := range hs {
+		e.Cancel(h)
+	}
+	if e.Pending() != compactFloor-1 {
+		t.Fatalf("Pending = %d, want %d (below the floor no compaction runs)", e.Pending(), compactFloor-1)
+	}
+	e.Cancel(e.Schedule(1, func() { fired++ }))
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after all-canceled compaction, want 0", e.Pending())
+	}
+	e.RunAll()
+	if fired != 0 || e.Processed() != 0 {
+		t.Fatalf("fired %d (Processed %d) after canceling everything, want 0", fired, e.Processed())
+	}
+	// The emptied queue still works.
+	e.Schedule(1, func() { fired++ })
+	e.RunAll()
+	if fired != 1 {
+		t.Fatalf("fired %d after rescheduling on the emptied queue, want 1", fired)
+	}
+}
