@@ -44,8 +44,6 @@ func main() {
 		savePath = flag.String("save", "", "write the resulting scenario to a JSON file and exit")
 		faultArg = flag.String("faults", "",
 			"inject faults: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
-		shards = flag.Int("shards", 0,
-			"run the spatially-sharded parallel engine with this many strips (results are byte-identical for every value; 0 or 1 run the serial reference)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -84,11 +82,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Faults = plan
-	}
-	if *shards != 0 {
-		// Applied after -config/-scenario so the flag overrides a loaded
-		// file; Validate below rejects negative or grid-exceeding counts.
-		cfg.Shards = *shards
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -42,17 +42,11 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress per-run progress on stderr")
 		scenRef  = flag.String("scenario", "",
 			"overlay the generator spec of this scenario (a JSON file or scenarios/<name> entry) onto every figure run")
-		shards = flag.Int("shards", 0,
-			"run every figure simulation on the sharded parallel engine with this many strips (byte-identical results; shares a GOMAXPROCS worker budget with -parallel)")
 	)
 	flag.Parse()
 
 	if *resume && *manifest == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs -manifest to name the file")
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d: shard count cannot be negative\n", *shards)
 		os.Exit(2)
 	}
 
@@ -76,7 +70,6 @@ func main() {
 		Seeds:    *seeds,
 		Fast:     *fast,
 		Workers:  *parallel,
-		Shards:   *shards,
 		Manifest: *manifest,
 		Resume:   *resume,
 		Context:  ctx,

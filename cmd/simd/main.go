@@ -49,7 +49,6 @@ func main() {
 		queue   = flag.Int("queue", 64, "max distinct in-flight jobs before 429")
 		perCli  = flag.Int("per-client", 0, "max in-flight jobs per client token; 0 = queue/4")
 		maxN    = flag.Int("max-n", 0, "reject configs with more hosts than this; 0 = unlimited")
-		shards  = flag.Int("shards", 0, "run every simulation on the sharded parallel engine with this many strips (byte-identical results, shared store entries)")
 		cache   = flag.Int("cache", store.DefaultCacheEntries, "in-memory LRU entries fronting the store")
 		runTO   = flag.Duration("run-timeout", 0, "per-job execution budget; 0 = unbounded")
 		maxWait = flag.Duration("max-wait", 2*time.Minute, "longest a blocking request may hold its connection")
@@ -57,17 +56,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d: shard count cannot be negative\n", *shards)
-		os.Exit(2)
-	}
-	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *shards, *cache, *runTO, *maxWait, *drain); err != nil {
+	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *cache, *runTO, *maxWait, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dir string, workers, queue, perCli, maxN, shards, cache int, runTO, maxWait, drain time.Duration) error {
+func run(addr, dir string, workers, queue, perCli, maxN, cache int, runTO, maxWait, drain time.Duration) error {
 	st, err := store.Open(dir, cache)
 	if err != nil {
 		return err
@@ -82,7 +77,6 @@ func run(addr, dir string, workers, queue, perCli, maxN, shards, cache int, runT
 		QueueDepth: queue,
 		PerClient:  perCli,
 		MaxHosts:   maxN,
-		Shards:     shards,
 		RunTimeout: runTO,
 		MaxWait:    maxWait,
 	})

@@ -7,16 +7,6 @@
 // manifest as runs complete so an interrupted sweep restarts where it
 // left off with -resume.
 //
-// -shards runs each simulation on the spatially-sharded parallel
-// engine; results stay byte-identical for every shard count. -parallel
-// and -shards compose through a shared process-wide worker budget of
-// GOMAXPROCS slots: each concurrent run holds one slot and its shard
-// pool takes helpers only from what is left, so requesting
-// `-parallel 8 -shards 4` on an 8-core machine runs 8 concurrent jobs
-// whose shard phases execute serially (results unchanged) rather than
-// 32 goroutines fighting for 8 cores. Prefer -parallel for many small
-// runs and -shards for a few large ones.
-//
 // Usage:
 //
 //	sweep -param hosts -values 50,100,150,200 -protocols grid,ecgrid
@@ -38,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -63,8 +52,6 @@ func main() {
 		storeDir  = flag.String("store", "", "content-addressed result store directory shared with simd; cached runs are skipped")
 		scenRef   = flag.String("scenario", "",
 			"base every run on a generated scenario: a JSON file path or a scenarios/<name> library entry")
-		shards = flag.Int("shards", 0,
-			"run every simulation on the sharded parallel engine with this many strips (byte-identical results; shares a GOMAXPROCS worker budget with -parallel)")
 		noRxCache = flag.Bool("norxcache", false,
 			"disable the receiver-plane cache in every run (uncached reference scan; byte-identical results, so a warm -store answers from its entries)")
 		retries  = flag.Int("retries", 0, "extra attempts for a failed run")
@@ -149,9 +136,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "unknown param %q\n", *param)
 				os.Exit(2)
 			}
-			if *shards != 0 {
-				cfg.Shards = *shards
-			}
 			if *noRxCache {
 				cfg.Radio.NoRxCache = true
 			}
@@ -200,13 +184,6 @@ func main() {
 		}
 		defer m.Close()
 		opt.Manifest = m
-	}
-	if *shards >= 2 {
-		if w, cores := opt.WorkerCount(), runtime.GOMAXPROCS(0); w**shards > cores {
-			fmt.Fprintf(os.Stderr,
-				"note: -parallel %d × -shards %d wants %d workers on %d cores; the shared budget clamps shard pools to the free slots (possibly zero) — results are unchanged\n",
-				w, *shards, w**shards, cores)
-		}
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)

@@ -35,7 +35,6 @@ import (
 
 	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
-	"ecgrid/internal/shard"
 )
 
 // Job is one simulation to run.
@@ -257,13 +256,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 
 // execute runs one config with panic isolation and the retry policy.
 func execute(tag string, cfg scenario.Config, opt Options) (res *runner.Results, attempts int, err error) {
-	// Hold one slot of the process-wide worker budget for the duration
-	// of the job: batch-level parallelism and intra-run sharding draw
-	// from the same GOMAXPROCS pool, so composing a wide `-parallel`
-	// with `-shards` degrades the runs to serial phases instead of
-	// oversubscribing the machine with workers × shards goroutines.
-	shard.AcquireRun()
-	defer shard.ReleaseRun()
 	for attempts = 1; ; attempts++ {
 		opt.Progress.Log("%s", tag)
 		res, err = runOnce(cfg)

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
-	"ecgrid/internal/shard"
 )
 
 // tinyCfg is a fast-to-simulate but non-trivial scenario.
@@ -71,34 +71,62 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedJobsShareWorkerBudget: a parallel batch of sharded runs
-// must negotiate goroutines through the shared budget — same results as
-// a serial unsharded batch, and every budget slot returned afterwards
-// (a leak would starve all later runs of helpers forever).
-func TestShardedJobsShareWorkerBudget(t *testing.T) {
-	jobs := tinyJobs()
-	sharded := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Cfg.Shards = 3 // 500 m area, 100 m cells: 5 columns, 3 strips
-		sharded[i] = j
+// gaugeStore is a memStore whose Put holds the caller for a moment and
+// records how many Puts overlapped. Both Run and Executor call Put from
+// inside the job's worker slot, so the peak overlap is a lower bound on
+// how many jobs ran at once.
+type gaugeStore struct {
+	*memStore
+	mu           sync.Mutex
+	active, peak int
+}
+
+func (s *gaugeStore) Put(key string, res *runner.Results) error {
+	s.mu.Lock()
+	s.active++
+	s.peak = max(s.peak, s.active)
+	s.mu.Unlock()
+	time.Sleep(5 * time.Millisecond)
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
+	return s.memStore.Put(key, res)
+}
+
+// TestWorkersCapConcurrentJobs: Options.Workers is the only limit on
+// concurrent simulations, in Run and in Executor alike — N workers never
+// run more than N jobs at once.
+func TestWorkersCapConcurrentJobs(t *testing.T) {
+	const workers = 2
+	var jobs []Job
+	for seed := int64(1); seed <= 8; seed++ {
+		jobs = append(jobs, Job{Tag: fmt.Sprintf("seed=%d", seed), Cfg: tinyCfg(scenario.ECGRID, seed)})
 	}
-	ref, sumRef := Run(context.Background(), jobs, Options{Workers: 1})
-	got, sumGot := Run(context.Background(), sharded, Options{Workers: 4})
-	if err := errors.Join(sumRef.Err(), sumGot.Err()); err != nil {
-		t.Fatal(err)
+
+	st := &gaugeStore{memStore: newMemStore()}
+	if _, sum := Run(context.Background(), jobs, Options{Workers: workers, Store: st}); sum.Err() != nil {
+		t.Fatal(sum.Err())
 	}
-	for i := range jobs {
-		a, b := marshal(t, ref[i].Res.Collector), marshal(t, got[i].Res.Collector)
-		if string(a) != string(b) {
-			t.Errorf("job %d (%s): sharded parallel batch diverged from serial reference", i, jobs[i].Tag)
+	if st.peak < 1 || st.peak > workers {
+		t.Fatalf("Run: %d jobs overlapped, want 1..%d", st.peak, workers)
+	}
+
+	st = &gaugeStore{memStore: newMemStore()}
+	x := NewExecutor(context.Background(), Options{Workers: workers, Store: st})
+	errs := make(chan error, len(jobs))
+	for _, j := range jobs {
+		go func() {
+			_, err := x.Run(j.Tag, j.Cfg)
+			errs <- err
+		}()
+	}
+	for range jobs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	max := runtime.GOMAXPROCS(0)
-	if free := shard.AcquireWorkers(max * 2); free != max {
-		shard.ReleaseWorkers(free)
-		t.Fatalf("%d of %d budget slots free after the batch: slots leaked", free, max)
-	} else {
-		shard.ReleaseWorkers(free)
+	if st.peak < 1 || st.peak > workers {
+		t.Fatalf("Executor: %d jobs overlapped, want 1..%d", st.peak, workers)
 	}
 }
 

@@ -73,20 +73,20 @@ func TestRunStoreBacked(t *testing.T) {
 	}
 }
 
-// TestRunStoreShardedHitsSerialEntry: the shard count is execution
-// strategy, not model, so a sharded rerun of a serially stored config
-// is a store hit — one simulation in total, however the model is run.
-func TestRunStoreShardedHitsSerialEntry(t *testing.T) {
+// TestRunStoreUncachedHitsCachedEntry: the receiver cache is execution
+// strategy, not model, so an uncached rerun of a stored config is a
+// store hit — one simulation in total, however the model is run.
+func TestRunStoreUncachedHitsCachedEntry(t *testing.T) {
 	st := newMemStore()
-	serial := tinyCfg(scenario.ECGRID, 4)
-	first, sum := Run(context.Background(), []Job{{Tag: "serial", Cfg: serial}}, Options{Workers: 1, Store: st})
+	cached := tinyCfg(scenario.ECGRID, 4)
+	first, sum := Run(context.Background(), []Job{{Tag: "cached", Cfg: cached}}, Options{Workers: 1, Store: st})
 	if err := sum.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	sharded := serial
-	sharded.Shards = 2
-	second, sum2 := Run(context.Background(), []Job{{Tag: "sharded", Cfg: sharded}}, Options{Workers: 1, Store: st})
+	uncached := cached
+	uncached.Radio.NoRxCache = true
+	second, sum2 := Run(context.Background(), []Job{{Tag: "uncached", Cfg: uncached}}, Options{Workers: 1, Store: st})
 	if err := sum2.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestRunStoreShardedHitsSerialEntry(t *testing.T) {
 		t.Fatalf("executed %d simulations (cached %d, puts %d), want 1 (1, 1)", got, sum2.Cached, st.puts)
 	}
 	if second[0].Key != first[0].Key {
-		t.Fatalf("sharded key %s, want the serial key %s", second[0].Key, first[0].Key)
+		t.Fatalf("uncached key %s, want the cached run's key %s", second[0].Key, first[0].Key)
 	}
 	if string(marshal(t, first[0].Res)) != string(marshal(t, second[0].Res)) {
-		t.Fatal("sharded rerun served different results")
+		t.Fatal("uncached rerun served different results")
 	}
 }
 

@@ -94,12 +94,6 @@ type Options struct {
 	// (cmd/figures -scenario). Changing Gen changes every batch key, so
 	// stressed and plain figure runs never collide in a shared store.
 	Gen *scengen.Spec
-	// Shards, when ≥ 2, runs every figure simulation on the sharded
-	// parallel engine (scenario.Config.Shards). Results are
-	// byte-identical for any value, and the field is runtime-only, so
-	// sharded and serial figure runs share batch keys: a serial
-	// manifest or store answers a sharded rerun.
-	Shards int
 }
 
 // Point is one sample of a result series.
@@ -187,11 +181,6 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 				// leaving both set would fail validation as ambiguous.
 				jobs[i].Cfg.Mobility = ""
 			}
-		}
-	}
-	if opt.Shards != 0 {
-		for i := range jobs {
-			jobs[i].Cfg.Shards = opt.Shards
 		}
 	}
 	bopt := batch.Options{

@@ -13,7 +13,6 @@ func TestMapRange(t *testing.T) {
 		"ecgrid/internal/faults/mrfaults",   // in scope: fault plans feed sim state
 		"ecgrid/internal/spatial/mrspatial", // in scope: index order must not leak
 		"ecgrid/internal/scengen/mrscengen", // in scope: generated placement order
-		"ecgrid/internal/shard/mrshard",     // in scope: handoff order must not leak
 		"ecgrid/internal/radio/mrradio",     // in scope: receiver-cache candidate order
 		"ecgrid/internal/ras/mrras",         // in scope: page-sweep wake/draw order
 		"ecgrid/internal/batch/mrclean",     // out of scope: no diagnostics

@@ -9,9 +9,7 @@
 // stream and perturb each other's draws, and a renamed ad-hoc literal
 // changes every figure downstream. Centralizing the names in
 // internal/sim/streams.go makes collisions a compile-time duplicate
-// and drift a lint failure — a prerequisite for sharding streams
-// across parallel-DES partitions, where per-shard suffixes must be
-// derived from one registry.
+// and drift a lint failure.
 //
 // Legal:
 //

@@ -9,9 +9,8 @@ import (
 
 func TestRNGStream(t *testing.T) {
 	analysistest.Run(t, "testdata", rngstream.Analyzer,
-		"ecgrid/internal/sim",           // registry constants legal; rng.go exempt
-		"ecgrid/internal/runner/rsuse",  // non-sim constants flagged
-		"ecgrid/internal/shard/rsshard", // improvised audit-family names flagged
-		"ecgrid/internal/shard/rshoist", // hoisted registry names need annotation
+		"ecgrid/internal/sim",          // registry constants legal; rng.go exempt
+		"ecgrid/internal/runner/rsuse", // non-sim constants flagged, bare or as a format
+		"ecgrid/internal/sim/rshoist",  // hoisted registry names need annotation
 	)
 }

@@ -3,13 +3,19 @@
 // (internal/sim/streams.go) may mint stream names.
 package rsuse
 
+import "fmt"
+
 type RNG struct{}
 
 func (r *RNG) Uniform(name string, lo, hi float64) float64 { return lo }
 
-const localPlace = "place" // a local const is not the registry
+const (
+	localPlace = "place" // a local const is not the registry
+	localMob   = "mob.%d"
+)
 
-func use(r *RNG) {
-	r.Uniform(localPlace, 0, 1) // want `RNG stream name must be a sim package constant`
-	r.Uniform("raw", 0, 1)      // want `RNG stream name must be a sim package constant`
+func use(r *RNG, i int) {
+	r.Uniform(localPlace, 0, 1)               // want `RNG stream name must be a sim package constant`
+	r.Uniform("raw", 0, 1)                    // want `RNG stream name must be a sim package constant`
+	r.Uniform(fmt.Sprintf(localMob, i), 0, 1) // want `RNG stream name must be a sim package constant`
 }

@@ -214,20 +214,6 @@ func (h *Host) Position() geom.Point {
 	return h.posPt
 }
 
-// AdvanceMobility materializes the host's movement history out to time
-// t without touching the event-time position memo. The sharded engine's
-// workers (internal/shard) call it in the parallel advance phase, so
-// every Position read during the following serial commit window is a
-// pure lookup into legs that already exist. Mobility models draw from
-// the host's private stream and keep their full history, so early
-// materialization is byte-identical to materializing on demand.
-func (h *Host) AdvanceMobility(t float64) {
-	if h.dead {
-		return
-	}
-	h.mob.Position(t)
-}
-
 // NextExit implements radio.Mover for the channel's spatial index: the
 // earliest time ≥ t the host's position may leave bounds, bounded by a
 // one-hour re-check horizon.

@@ -163,18 +163,6 @@ func TestRunTwiceDeterminism(t *testing.T) {
 			}
 			return cfg
 		}()},
-		// The sharded engine must be exactly as deterministic as the
-		// serial path it wraps: worker scheduling, the phase barrier, and
-		// ownership handoffs may not leak into results. Under -race and
-		// -count=2 (CI) this also stresses the pool's synchronization.
-		{"ecgrid-shards4", func() scenario.Config {
-			cfg := scenario.Default(scenario.ECGRID)
-			cfg.Hosts = 100
-			cfg.Duration = 90
-			cfg.Seed = 23
-			cfg.Shards = 4
-			return cfg
-		}()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

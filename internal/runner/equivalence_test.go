@@ -122,103 +122,3 @@ func denseManhattan1000() scenario.Config {
 	}
 	return cfg
 }
-
-// TestShardEquivalence proves the sharded parallel engine is an
-// optimization, not a model change: every scenario must produce
-// byte-identical metrics and trace fingerprints at -shards 1 (the
-// serial reference, run verbatim) and every -shards K — the same
-// contract Radio.BruteForce is held to. The matrix
-// spans three protocols, three population sizes (the 1000-host case on
-// a proportionally larger area so density stays paper-like), and shard
-// counts that divide the grid unevenly (7 strips over 10 or 30
-// columns); a faulted variant exercises the injector, crash/recovery,
-// and paging-loss draws under sharding.
-func TestShardEquivalence(t *testing.T) {
-	type variant struct {
-		proto scenario.ProtocolKind
-		hosts int
-		fault string
-	}
-	variants := []variant{
-		{scenario.ECGRID, 20, ""},
-		{scenario.ECGRID, 200, ""},
-		{scenario.ECGRID, 1000, ""},
-		{scenario.SPAN, 20, ""},
-		{scenario.SPAN, 200, ""},
-		{scenario.SPAN, 1000, ""},
-		{scenario.GRID, 20, ""},
-		{scenario.GRID, 200, ""},
-		{scenario.GRID, 1000, ""},
-		{scenario.ECGRID, 200, "mixed"},
-	}
-	for _, v := range variants {
-		name := fmt.Sprintf("%s-n%d", v.proto, v.hosts)
-		if v.fault != "" {
-			name += "-" + v.fault
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := scenario.Default(v.proto)
-			cfg.Hosts = v.hosts
-			cfg.Seed = int64(31 + v.hosts)
-			switch {
-			case v.hosts >= 1000:
-				// Paper-like density at 1000 hosts needs a 3000 m side
-				// (30 grid columns, so 7 strips still fit); keep the
-				// simulated span short — the point is coverage of the
-				// windowed loop, not a long campaign.
-				cfg.AreaSize = 3000
-				cfg.Duration = 8
-				cfg.Flows = 30
-			case v.hosts >= 200:
-				cfg.Duration = 45
-			default:
-				cfg.Duration = 90
-			}
-			if v.fault != "" {
-				cfg.Faults = mustPreset(v.fault, cfg.Hosts, cfg.AreaSize, cfg.Duration)
-			}
-			ref := cfg
-			ref.Shards = 1 // the serial path, verbatim
-			serial := fingerprint(ref)
-			for _, k := range []int{2, 4, 7} {
-				sharded := cfg
-				sharded.Shards = k
-				if got := fingerprint(sharded); got != serial {
-					t.Fatalf("-shards %d diverged from the serial reference — first divergence:\n%s",
-						k, firstDiff(got, serial))
-				}
-			}
-		})
-	}
-}
-
-// TestShardEquivalenceGenerated repeats the shard check on a generated
-// scenario chosen to stress the plan: clustered deployment concentrates
-// whole strips, group mobility forces pinned co-ownership (the shared
-// reference point must never gain a second writer), and request/response
-// traffic plus an obstacle map run every optional hook under sharding.
-func TestShardEquivalenceGenerated(t *testing.T) {
-	cfg := scenario.Default(scenario.ECGRID)
-	cfg.Hosts = 60
-	cfg.Duration = 60
-	cfg.Seed = 41
-	cfg.Gen = &scengen.Spec{
-		Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 3, StdDevM: 100},
-		Mobility:   &scengen.Mobility{Kind: scengen.MobilityGroup, GroupSize: 6, RadiusM: 80},
-		Traffic:    &scengen.Traffic{Kind: scengen.TrafficReqResp, RespBytes: 256, RespDelayS: 0.2},
-		Propagation: &scengen.Propagation{Obstacles: []scengen.Obstacle{
-			{MinX: 300, MinY: 200, MaxX: 340, MaxY: 800, Atten: 0.7},
-		}},
-	}
-	ref := cfg
-	ref.Shards = 1
-	serial := fingerprint(ref)
-	for _, k := range []int{2, 4, 7} {
-		sharded := cfg
-		sharded.Shards = k
-		if got := fingerprint(sharded); got != serial {
-			t.Fatalf("-shards %d diverged on a generated scenario — first divergence:\n%s",
-				k, firstDiff(got, serial))
-		}
-	}
-}

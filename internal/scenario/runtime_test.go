@@ -7,6 +7,7 @@ import (
 
 	"ecgrid/internal/batch"
 	"ecgrid/internal/scenario"
+	"ecgrid/internal/trace"
 )
 
 // TestShardsOmitemptyKeepsEncoding: how a run executes is not part of
@@ -20,14 +21,16 @@ func TestShardsOmitemptyKeepsEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(want), "Shards") {
-		t.Fatalf("zero Shards leaked into the encoding: %s", want)
+	for _, field := range []string{"BruteForce", "NoRxCache", "Trace"} {
+		if strings.Contains(string(want), field) {
+			t.Fatalf("zero %s leaked into the encoding: %s", field, want)
+		}
 	}
 
 	exec := def
-	exec.Shards = 4
 	exec.Radio.BruteForce = true
 	exec.Radio.NoRxCache = true
+	exec.Trace = trace.NewRecorder(1)
 	got, err := json.Marshal(exec)
 	if err != nil {
 		t.Fatal(err)

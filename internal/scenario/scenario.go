@@ -104,18 +104,10 @@ type Config struct {
 	// the defaults (GridOptions for GRID).
 	ECGRIDOptions *core.Options
 	GAFOptions    *gaf.Options
-	// Shards, when ≥ 2, executes the run on the spatially-sharded
-	// parallel engine (internal/shard): the plane is cut into Shards
-	// column strips of grid cells, worker goroutines advance each
-	// strip's hosts under conservative synchronization, and the event
-	// commit stays serial — so every value of Shards produces
-	// byte-identical metrics and traces to the single-engine reference.
-	// 0 (the default) and 1 both run the reference path verbatim.
-	// Validate rejects negative values and values exceeding the number
-	// of grid-cell columns (a strip must be at least one column wide).
-	// Runtime-only, like Trace: how a model executes is not part of the
-	// model, so a serial and a sharded run share one batch key and one
-	// store entry.
+	// Shards is ignored: every run executes on the serial engine.
+	//
+	// Deprecated: kept so the bench module, which still sets it,
+	// compiles. The next change to bench/ and BENCHMARK.json removes it.
 	Shards int `json:"-"`
 	// Faults, if non-nil and non-empty, injects the plan's crashes,
 	// battery shocks, jamming, paging loss, and GPS errors into the run.
@@ -214,13 +206,6 @@ func (c Config) Validate() error {
 	if c.Radio.PropDelay < 0 || c.Radio.SlotTime < 0 || c.Radio.DIFS < 0 ||
 		!finite(c.Radio.PropDelay) || !finite(c.Radio.SlotTime) || !finite(c.Radio.DIFS) {
 		return errors.New("scenario: negative or non-finite radio propagation delay, slot time or DIFS")
-	}
-	if c.Shards < 0 {
-		return errors.New("scenario: negative shard count")
-	}
-	if cols := int(math.Ceil(c.AreaSize / c.GridSize)); c.Shards > cols {
-		return fmt.Errorf("scenario: %d shards exceed the %d-column cell grid (a shard strip is at least one column of %gm cells)",
-			c.Shards, cols, c.GridSize)
 	}
 	if c.Faults != nil {
 		total := c.Hosts

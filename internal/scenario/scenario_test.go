@@ -101,37 +101,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestValidateShards covers each shard-count rejection separately: a
-// negative count is always a caller bug, and a count above the number
-// of grid-cell columns cannot be honored (a shard strip is at least one
-// column wide). Valid values — 0 (serial default), 1 (explicit
-// reference), and anything up to the column count — must pass.
-func TestValidateShards(t *testing.T) {
-	t.Run("negative", func(t *testing.T) {
-		cfg := Default(ECGRID)
-		cfg.Shards = -1
-		if err := cfg.Validate(); err == nil {
-			t.Fatal("Validate accepted Shards = -1")
-		}
-	})
-	t.Run("exceeds cell grid", func(t *testing.T) {
-		cfg := Default(ECGRID) // 1000 m area, 100 m cells: 10 columns
-		cfg.Shards = 11
-		if err := cfg.Validate(); err == nil {
-			t.Fatal("Validate accepted more shards than cell columns")
-		}
-	})
-	t.Run("valid range", func(t *testing.T) {
-		for _, k := range []int{0, 1, 2, 7, 10} {
-			cfg := Default(ECGRID)
-			cfg.Shards = k
-			if err := cfg.Validate(); err != nil {
-				t.Fatalf("Shards = %d rejected: %v", k, err)
-			}
-		}
-	})
-}
-
 func TestValidateGAFEndpoints(t *testing.T) {
 	cfg := Default(GAF)
 	cfg.EndpointHosts = 1

@@ -65,15 +65,6 @@ type Config struct {
 	// MaxHosts rejects configs whose total host count exceeds it
 	// (cmd/simd's -max-n guardrail); <= 0 disables the check.
 	MaxHosts int
-	// Shards, when >= 2, executes every simulation on the
-	// spatially-sharded parallel engine with this many strips; configs
-	// whose cell grid is too narrow for that count run serially.
-	// Results are byte-identical either way (DESIGN.md §15), and
-	// scenario.Config.Shards is runtime-only, so this is purely an
-	// execution setting: it changes no content key, and a sharded and a
-	// serial server share store entries. Negative values are rejected
-	// by New.
-	Shards int
 	// RunTimeout bounds one job from admission to completion; <= 0
 	// leaves jobs unbounded. A simulation cannot be preempted
 	// mid-event-loop, so the timeout takes effect at the executor's
@@ -126,9 +117,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("server: Config.Shards %d: shard count cannot be negative", cfg.Shards)
 	}
 	queueCap := cfg.QueueDepth
 	if queueCap <= 0 {
@@ -482,26 +470,10 @@ func (s *Server) runJob(j *job) {
 	s.met.running.Add(1)
 	defer s.met.running.Add(-1)
 
-	cfg := j.cfg
-	if s.cfg.Shards >= 2 {
-		// The shard count does not fit every config: one whose cell grid
-		// has fewer columns than strips runs serially instead, which
-		// produces the same results anyway.
-		cfg.Shards = s.cfg.Shards
-		if cfg.Validate() != nil {
-			cfg.Shards = 0
-		}
-	}
-	res, err := s.run(ctx, j.tag, cfg)
+	res, err := s.run(ctx, j.tag, j.cfg)
 	if err != nil {
 		j.err = err
 		return
-	}
-	// Sharded-engine telemetry rides along on fresh runs only: results
-	// rehydrated from the store carry no Shard stats (the field is
-	// execution metadata, not part of the canonical result bytes).
-	if res.Shard != nil {
-		s.met.observeShard(res.Shard)
 	}
 	// The default RunFunc (store-backed executor) has already stored the
 	// result; read back the canonical bytes so hit and miss responses

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ecgrid/internal/batch"
 	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
 	"ecgrid/internal/store"
@@ -488,130 +487,5 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if m.Latencies.Run.Count != 2 {
 		t.Fatalf("run latency count = %d, want 2", m.Latencies.Run.Count)
-	}
-}
-
-// genKey POSTs cfg to /v1/generate and returns the previewed content
-// key.
-func genKey(t *testing.T, ts *httptest.Server, cfg scenario.Config) string {
-	t.Helper()
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generate status %d: %s", resp.StatusCode, readAll(t, resp))
-	}
-	var out struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(readAll(t, resp), &out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Key
-}
-
-// shardRecorder is a RunFunc that executes for real and records the
-// shard count each execution was handed.
-type shardRecorder struct {
-	mu     sync.Mutex
-	shards []int
-}
-
-func (r *shardRecorder) run(_ context.Context, _ string, cfg scenario.Config) (*runner.Results, error) {
-	r.mu.Lock()
-	r.shards = append(r.shards, cfg.Shards)
-	r.mu.Unlock()
-	return runner.Run(cfg), nil
-}
-
-func (r *shardRecorder) handed() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.shards...)
-}
-
-// TestShardDefaultOverlay: Config.Shards is an execution setting only.
-// A sharded server hands the shard count to the executor, yet serves
-// the same content key and the same bytes as a serial server; a config
-// whose cell grid is too narrow for the count runs serially instead of
-// failing; and the shard telemetry reaches /metrics.
-func TestShardDefaultOverlay(t *testing.T) {
-	rec := &shardRecorder{}
-	sharded, _, _ := newTestServer(t, func(c *Config) { c.Shards = 2; c.Run = rec.run })
-	serial, _, _ := newTestServer(t, nil)
-	cfg := smallCfg(1)
-
-	if got, want := genKey(t, sharded, cfg), batch.Key(cfg); got != want {
-		t.Fatalf("sharded server previewed key %s, want the model's key %s", got, want)
-	}
-
-	rs := postRun(t, sharded, cfg, "")
-	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("sharded run status %d: %s", rs.StatusCode, readAll(t, rs))
-	}
-	rr := postRun(t, serial, cfg, "")
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("serial run status %d: %s", rr.StatusCode, readAll(t, rr))
-	}
-	if ks, kr := rs.Header.Get("X-Content-Key"), rr.Header.Get("X-Content-Key"); ks != kr || ks != batch.Key(cfg) {
-		t.Fatalf("sharded key %s, serial key %s, want both %s", ks, kr, batch.Key(cfg))
-	}
-	if !bytes.Equal(readAll(t, rs), readAll(t, rr)) {
-		t.Fatal("sharded server's result bytes differ from the serial server's")
-	}
-	if got := rec.handed(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("executor was handed shard counts %v, want [2]", got)
-	}
-
-	// A grid too narrow for the count runs serially: 500 m / 100 m
-	// cells = 5 columns, fewer than 8 strips.
-	narrowRec := &shardRecorder{}
-	wide, _, _ := newTestServer(t, func(c *Config) { c.Shards = 8; c.Run = narrowRec.run })
-	narrow := smallCfg(1)
-	narrow.AreaSize = 500
-	rn := postRun(t, wide, narrow, "")
-	if rn.StatusCode != http.StatusOK {
-		t.Fatalf("narrow-grid run status %d: %s", rn.StatusCode, readAll(t, rn))
-	}
-	readAll(t, rn)
-	if got := narrowRec.handed(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("narrow grid was handed shard counts %v, want [0] (serial)", got)
-	}
-
-	// The sharded run fed the /metrics telemetry: both counters render
-	// (boundary events may legitimately be zero on a short run).
-	mr, err := http.Get(sharded.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(readAll(t, mr), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v", err)
-	}
-	for _, key := range []string{"shard_boundary_events", "shard_stall_seconds"} {
-		raw, ok := m[key]
-		if !ok {
-			t.Fatalf("metrics missing %s", key)
-		}
-		var v float64
-		if err := json.Unmarshal(raw, &v); err != nil || v < 0 {
-			t.Fatalf("%s = %s, want a non-negative number", key, raw)
-		}
-	}
-}
-
-// TestNewRejectsNegativeShards: the guardrail behind cmd/simd's exit(2).
-func TestNewRejectsNegativeShards(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Store: st, Shards: -1}); err == nil {
-		t.Fatal("New accepted Config.Shards = -1")
 	}
 }

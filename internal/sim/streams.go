@@ -9,8 +9,6 @@ package sim
 // downstream. Centralizing the names makes a collision a reviewable
 // diff in one file and lets the rngstream analyzer reject any RNG call
 // whose stream argument is not (a Sprintf over) one of these constants.
-// The upcoming parallel-DES sharding derives per-shard stream suffixes
-// from this registry, which is only sound if the registry is complete.
 //
 // The string values are frozen: they feed the FNV hash that seeds each
 // stream, so renaming one changes every simulation result at the same
@@ -55,15 +53,6 @@ const (
 	// StreamScengenTraffic draws generated traffic: flow endpoints,
 	// start phases, and bursty on/off period lengths.
 	StreamScengenTraffic = "scengen.traffic"
-	// StreamShardAudit is the per-shard sampling-audit stream family of
-	// the parallel coordinator (internal/shard): each synchronization
-	// window, shard s draws from fmt.Sprintf(StreamShardAudit, s) to
-	// pick which owned host gets its ownership and safe-horizon
-	// invariants spot-checked. The draws feed no simulation decision —
-	// results are byte-identical with auditing on or off — but the
-	// names are registered here so the streams can never collide with
-	// (and perturb) a result-bearing sequence.
-	StreamShardAudit = "shard.audit.%d"
 )
 
 // StreamRegistry enumerates every registered stream name (format
@@ -87,5 +76,4 @@ var StreamRegistry = []string{
 	StreamScengenManhattan,
 	StreamScengenGroup,
 	StreamScengenTraffic,
-	StreamShardAudit,
 }

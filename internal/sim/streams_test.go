@@ -30,7 +30,6 @@ func TestStreamFamiliesAreFormats(t *testing.T) {
 		StreamMobility:         true,
 		StreamScengenManhattan: true,
 		StreamScengenGroup:     true,
-		StreamShardAudit:       true,
 	}
 	for _, name := range StreamRegistry {
 		if strings.Contains(name, "%") != families[name] {
