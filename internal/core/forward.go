@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"ecgrid/internal/grid"
@@ -143,19 +142,26 @@ func (p *Protocol) routeData(m *routing.Data) {
 	p.sendRERR(pkt.Src, pkt.Dst)
 }
 
-// compareCell orders the neighbor-gateway table by cell (X, Y), so
-// hot-path decisions iterate it in an order independent of the order
-// HELLOs arrived in.
-func compareCell(n neighborGW, c grid.Coord) int {
-	if n.cell.X != c.X {
-		return cmp.Compare(n.cell.X, c.X)
+// neighborIndex binary-searches the neighbor-gateway table, kept sorted
+// by cell (X, Y) so hot-path decisions iterate it in an order
+// independent of the order HELLOs arrived in. It returns c's position,
+// or its insertion point when absent.
+func (p *Protocol) neighborIndex(c grid.Coord) (int, bool) {
+	lo, hi := 0, len(p.neighbors)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n := p.neighbors[m].cell; n.X < c.X || n.X == c.X && n.Y < c.Y {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return cmp.Compare(n.cell.Y, c.Y)
+	return lo, lo < len(p.neighbors) && p.neighbors[lo].cell == c
 }
 
 // neighborGWAt returns the cached gateway of cell c.
 func (p *Protocol) neighborGWAt(c grid.Coord) (neighborGW, bool) {
-	i, ok := slices.BinarySearchFunc(p.neighbors, c, compareCell)
+	i, ok := p.neighborIndex(c)
 	if !ok {
 		return neighborGW{}, false
 	}
@@ -164,7 +170,7 @@ func (p *Protocol) neighborGWAt(c grid.Coord) (neighborGW, bool) {
 
 // noteNeighborGW records id as the gateway of cell c, heard at seen.
 func (p *Protocol) noteNeighborGW(c grid.Coord, id hostid.ID, seen float64) {
-	i, ok := slices.BinarySearchFunc(p.neighbors, c, compareCell)
+	i, ok := p.neighborIndex(c)
 	if !ok {
 		p.neighbors = slices.Insert(p.neighbors, i, neighborGW{cell: c})
 	}

@@ -96,7 +96,7 @@ func TestNeighborTableOrderAndGreedyTieBreak(t *testing.T) {
 		}
 
 		for i := 1; i < len(gw.neighbors); i++ {
-			if compareCell(gw.neighbors[i-1], gw.neighbors[i].cell) >= 0 {
+			if a, b := gw.neighbors[i-1].cell, gw.neighbors[i].cell; a.X > b.X || a.X == b.X && a.Y >= b.Y {
 				t.Fatalf("step %d: table out of (X, Y) order at %d: %v then %v",
 					step, i, gw.neighbors[i-1].cell, gw.neighbors[i].cell)
 			}

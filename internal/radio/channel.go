@@ -2,8 +2,9 @@ package radio
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"ecgrid/internal/energy"
 	"ecgrid/internal/geom"
@@ -81,9 +82,10 @@ type station struct {
 	accessing bool // backoff event pending
 	cwSlots   int  // current contention window
 
-	// unidx marks a station on the channel's unindexed side list; its
-	// listen flips invalidate caches via the channel-wide epoch instead
-	// of a cell epoch (see rxcache.go).
+	// unidx marks a station on the channel's unindexed side list: its
+	// Attach and Detach invalidate caches via the channel-wide epoch
+	// instead of a cell epoch (see rxcache.go). Listen flips invalidate
+	// nothing; every scan reads listening live.
 	unidx bool
 	// rxc is the station's receiver-set cache entry (rxcache.go).
 	rxc rxCache
@@ -147,31 +149,38 @@ type Channel struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	cfg      Config
-	stations map[hostid.ID]*station
-	order    []hostid.ID // attached IDs, sorted: deterministic iteration
 	active   map[*transmission]struct{}
 	counters Counters
 	perKind  map[string]KindCount
 
+	// stations is the one station lookup: indexed by host ID, nil where
+	// no host is attached. Walking its non-nil slots is ascending-ID
+	// iteration. idMark and idSlot run beside it for markID/sweepIDs:
+	// one bit per ID, all clear between sweeps, and the candidate index
+	// recorded with each marked ID. idLo..idHi bounds the marked words
+	// (idLo > idHi when nothing is marked).
+	stations   []*station
+	idMark     []uint64
+	idSlot     []int32
+	idLo, idHi int
+
 	// Spatial acceleration (nil when cfg.BruteForce): index buckets the
 	// Mover-capable stations for receiver discovery, txIdx holds the
 	// origins of in-flight transmissions for carrier sense, and
-	// unindexed lists stations without motion info (sorted; scanned
-	// brute-force and merged into the candidate set).
+	// unindexed lists stations without motion info (scanned brute-force
+	// and merged into the candidate set).
 	index     *spatial.Index[*station]
 	txIdx     *spatial.PointSet
 	unindexed []hostid.ID
-	// Receiver-scan scratch: cand collects the index's unsorted
-	// candidates; cpos holds each admitted candidate's position (parallel
-	// to cand); keys imposes host-ID iteration order by sorting packed
-	// (ID, candidate-index) int64s over only the candidates that passed
-	// the receiver filter — a plain integer sort over the survivors, an
-	// order of magnitude cheaper than sorting all candidate structs with
-	// a comparison closure. rxFree recycles reception buffers (their
-	// pointers leave the receiving lists before the buffer is pooled).
+	// Receiver-scan scratch: cand collects the index's candidates in
+	// cell-scan order; cpos holds each admitted candidate's position
+	// (parallel to cand); byID lists candidate indices in host-ID order,
+	// as sweepIDs returns them for the candidates a scan marked. rxFree
+	// recycles reception buffers (their pointers leave the receiving
+	// lists before the buffer is pooled).
 	cand   []spatial.Candidate[*station]
 	cpos   []geom.Point
-	keys   []int64
+	byID   []int32
 	rxFree [][]reception
 	// Receiver-set cache state (rxcache.go). rxCacheOn gates the whole
 	// plane: it requires the spatial index and is switched off by
@@ -224,12 +233,13 @@ func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
 		cfg.MaxBackoffSlots = cfg.MinBackoffSlots
 	}
 	c := &Channel{
-		engine:   engine,
-		rng:      rng,
-		cfg:      cfg,
-		stations: make(map[hostid.ID]*station),
-		active:   make(map[*transmission]struct{}),
-		perKind:  make(map[string]KindCount),
+		engine:  engine,
+		rng:     rng,
+		cfg:     cfg,
+		idLo:    math.MaxInt,
+		idHi:    -1,
+		active:  make(map[*transmission]struct{}),
+		perKind: make(map[string]KindCount),
 	}
 	if !cfg.BruteForce {
 		// Cell side and slack trade query breadth against maintenance
@@ -260,14 +270,15 @@ func (c *Channel) PerKind() map[string]KindCount {
 func (c *Channel) Config() Config { return c.cfg }
 
 // Attach registers an endpoint. Hosts start in listening (awake) state.
+// IDs index a dense table, so they must be non-negative and should be
+// small (hosts are numbered from 0).
 func (c *Channel) Attach(ep Endpoint) {
 	id := ep.ID()
-	if _, dup := c.stations[id]; dup {
-		panic(fmt.Sprintf("radio: duplicate attach of %v", id))
+	if id < 0 || int64(id) > int64(1<<31-1) {
+		panic(fmt.Sprintf("radio: host id %v outside [0, 2^31) — stations live in a table indexed by id", id))
 	}
-	if c.index != nil && (id < 0 || int64(id) > int64(1<<31-1)) {
-		// The receiver scan packs IDs into the top 32 bits of a sort key.
-		panic(fmt.Sprintf("radio: host id %v outside [0, 2^31) — the spatial index needs non-negative 31-bit ids", id))
+	if c.stationOf(id) != nil {
+		panic(fmt.Sprintf("radio: duplicate attach of %v", id))
 	}
 	st := &station{
 		ep:        ep,
@@ -275,11 +286,15 @@ func (c *Channel) Attach(ep Endpoint) {
 		cwSlots:   c.cfg.MinBackoffSlots,
 	}
 	st.tryFn = func() { c.tryTransmit(st) }
+	if n := int(id) + 1; n > len(c.stations) {
+		// slices.Grow appends, so the tables grow geometrically.
+		c.stations = slices.Grow(c.stations, n-len(c.stations))[:n]
+		c.idSlot = slices.Grow(c.idSlot, n-len(c.idSlot))[:n]
+		if w := (n + 63) >> 6; w > len(c.idMark) {
+			c.idMark = slices.Grow(c.idMark, w-len(c.idMark))[:w]
+		}
+	}
 	c.stations[id] = st
-	i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id })
-	c.order = append(c.order, 0)
-	copy(c.order[i+1:], c.order[i:])
-	c.order[i] = id
 	if c.index != nil {
 		if mv, ok := ep.(Mover); ok {
 			// Insert bumps the cell's epoch, so covers over the arrival
@@ -287,10 +302,7 @@ func (c *Channel) Attach(ep Endpoint) {
 			c.index.Insert(id, st, ep.Position, mv.NextExit)
 		} else {
 			st.unidx = true
-			j := sort.Search(len(c.unindexed), func(j int) bool { return c.unindexed[j] >= id })
-			c.unindexed = append(c.unindexed, 0)
-			copy(c.unindexed[j+1:], c.unindexed[j:])
-			c.unindexed[j] = id
+			c.unindexed = append(c.unindexed, id)
 			if c.rxCacheOn {
 				c.chEpoch++ // a new brute-force candidate: no cell to bump
 			}
@@ -301,12 +313,58 @@ func (c *Channel) Attach(ep Endpoint) {
 	}
 }
 
+// stationOf returns the attached station with the given ID, or nil.
+func (c *Channel) stationOf(id hostid.ID) *station {
+	if uint(id) < uint(len(c.stations)) {
+		return c.stations[id]
+	}
+	return nil
+}
+
+// markID files candidate index i under host ID id for the next
+// sweepIDs. An ID may be marked at most once per sweep.
+func (c *Channel) markID(id hostid.ID, i int) {
+	w := int(id) >> 6
+	c.idMark[w] |= 1 << (uint(id) & 63)
+	c.idSlot[id] = int32(i)
+	c.idLo = min(c.idLo, w)
+	c.idHi = max(c.idHi, w)
+}
+
+// sweepIDs appends to dst the candidate indices marked since the last
+// sweep, in ascending host-ID order, and clears the marks. It reads
+// only the words between the lowest and highest marked ID. Because IDs
+// are unique, this is exactly the order a sort by ID would give,
+// without comparing anything.
+func (c *Channel) sweepIDs(dst []int32) []int32 {
+	for w := c.idLo; w <= c.idHi; w++ {
+		m := c.idMark[w]
+		c.idMark[w] = 0
+		for m != 0 {
+			dst = append(dst, c.idSlot[w<<6|bits.TrailingZeros64(m)])
+			m &= m - 1
+		}
+	}
+	c.idLo, c.idHi = math.MaxInt, -1
+	return dst
+}
+
+// gather fills c.cand with every station that may lie within r of p:
+// the spatial index's candidates plus the unindexed side list, in no
+// meaningful order.
+func (c *Channel) gather(p geom.Point, r float64) {
+	c.cand = c.index.NearbyAppend(p, r, c.cand[:0])
+	for _, id := range c.unindexed {
+		c.cand = append(c.cand, spatial.Candidate[*station]{ID: id, Payload: c.stations[id]})
+	}
+}
+
 // Detach removes a host (battery death). In-flight receptions at the host
 // are dropped; its in-flight transmission, if any, completes on the air
 // but is never retried.
 func (c *Channel) Detach(id hostid.ID) {
-	st, ok := c.stations[id]
-	if !ok {
+	st := c.stationOf(id)
+	if st == nil {
 		return
 	}
 	st.detached = true
@@ -318,14 +376,11 @@ func (c *Channel) Detach(id hostid.ID) {
 	}
 	st.queue.clear()
 	st.abortReceiving()
-	delete(c.stations, id)
-	if i := sort.Search(len(c.order), func(i int) bool { return c.order[i] >= id }); i < len(c.order) && c.order[i] == id {
-		c.order = append(c.order[:i], c.order[i+1:]...)
-	}
+	c.stations[id] = nil
 	if c.index != nil {
 		c.index.Remove(id)
-		if j := sort.Search(len(c.unindexed), func(j int) bool { return c.unindexed[j] >= id }); j < len(c.unindexed) && c.unindexed[j] == id {
-			c.unindexed = append(c.unindexed[:j], c.unindexed[j+1:]...)
+		if j := slices.Index(c.unindexed, id); j >= 0 {
+			c.unindexed = slices.Delete(c.unindexed, j, j+1)
 		}
 	}
 }
@@ -335,8 +390,8 @@ func (c *Channel) Detach(id hostid.ID) {
 // transmission it already started (protocols never sleep mid-send).
 // The battery mode is updated accordingly.
 func (c *Channel) SetListening(id hostid.ID, on bool) {
-	st, ok := c.stations[id]
-	if !ok {
+	st := c.stationOf(id)
+	if st == nil {
 		return
 	}
 	if st.listening == on {
@@ -351,8 +406,8 @@ func (c *Channel) SetListening(id hostid.ID, on bool) {
 
 // Listening reports whether the host is attached and awake.
 func (c *Channel) Listening(id hostid.ID) bool {
-	st, ok := c.stations[id]
-	return ok && st.listening
+	st := c.stationOf(id)
+	return st != nil && st.listening
 }
 
 func (c *Channel) updateMode(st *station) {
@@ -366,8 +421,8 @@ func (c *Channel) updateMode(st *station) {
 // after carrier sense and backoff. Sending from a sleeping or detached
 // host is a protocol bug and panics.
 func (c *Channel) Send(src hostid.ID, f *Frame) {
-	st, ok := c.stations[src]
-	if !ok {
+	st := c.stationOf(src)
+	if st == nil {
 		panic(fmt.Sprintf("radio: Send from detached host %v", src))
 	}
 	if !st.listening {
@@ -518,20 +573,16 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 		// to both branches below by the §16 invalidation argument.
 		c.cachedReceivers(tx, st, pos, r2)
 	} else if c.index != nil {
-		c.cand = c.index.NearbyAppend(pos, c.cfg.Range, c.cand[:0])
-		for _, oid := range c.unindexed {
-			c.cand = append(c.cand, spatial.Candidate[*station]{ID: oid, Payload: c.stations[oid]})
-		}
-		// Filter first, sort second: the range and listening checks are
+		c.gather(pos, c.cfg.Range)
+		// Filter first, order second: the range and listening checks are
 		// order-free (Position is pure per instant), so applying them
-		// before imposing ID order shrinks the sort to the hosts that
+		// before imposing ID order shrinks the sweep to the hosts that
 		// actually receive — in a duty-cycled protocol, a small fraction
 		// of the candidates.
 		if cap(c.cpos) < len(c.cand) {
 			c.cpos = make([]geom.Point, len(c.cand))
 		}
 		c.cpos = c.cpos[:len(c.cand)]
-		c.keys = c.keys[:0]
 		for i := range c.cand {
 			cd := &c.cand[i]
 			other := cd.Payload
@@ -548,21 +599,17 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 				}
 				c.cpos[i] = otherPos
 			}
-			// Pack (ID, candidate index) so a plain integer sort yields
-			// the iteration order the brute-force path walks c.order in.
-			c.keys = append(c.keys, int64(cd.ID)<<32|int64(i))
+			c.markID(cd.ID, i)
 		}
-		slices.Sort(c.keys)
-		tx.rx = c.rxBuf(len(c.keys))
-		for _, k := range c.keys {
-			i := k & (1<<32 - 1)
+		c.byID = c.sweepIDs(c.byID[:0])
+		tx.rx = c.rxBuf(len(c.byID))
+		for _, i := range c.byID {
 			c.admitReception(tx, c.cand[i].Payload, pos, c.cpos[i])
 		}
 	} else {
-		tx.rx = c.rxBuf(len(c.order))
-		for _, oid := range c.order {
-			other := c.stations[oid]
-			if other == st || !other.listening || other.detached {
+		tx.rx = c.rxBuf(len(c.stations))
+		for _, other := range c.stations {
+			if other == nil || other == st || !other.listening {
 				continue
 			}
 			otherPos := other.ep.Position()
@@ -757,8 +804,10 @@ func (c *Channel) OutstandingFrames() int {
 // past the horizon, so their frames are reclaimed here); the channel
 // must not carry traffic afterwards.
 func (c *Channel) Shutdown() {
-	for _, id := range c.order {
-		st := c.stations[id]
+	for _, st := range c.stations {
+		if st == nil {
+			continue
+		}
 		for !st.queue.empty() {
 			c.ReleaseFrame(st.queue.popFront().frame)
 		}
@@ -782,9 +831,8 @@ type TxFeedback interface {
 // transmission range of each other. Protocol code uses it only through
 // higher-level abstractions; tests use it directly.
 func (c *Channel) InRange(a, b hostid.ID) bool {
-	sa, oka := c.stations[a]
-	sb, okb := c.stations[b]
-	if !oka || !okb {
+	sa, sb := c.stationOf(a), c.stationOf(b)
+	if sa == nil || sb == nil {
 		return false
 	}
 	return sa.ep.Position().Dist2(sb.ep.Position()) <= c.cfg.Range*c.cfg.Range
@@ -799,23 +847,22 @@ func (c *Channel) InRange(a, b hostid.ID) bool {
 // it (ras.Candidates); pass a recycled dst[:0] to stay allocation-free.
 func (c *Channel) NearIDs(p geom.Point, r float64, dst []hostid.ID) []hostid.ID {
 	if c.index == nil {
-		return append(dst, c.order...)
+		for id, st := range c.stations {
+			if st != nil {
+				dst = append(dst, hostid.ID(id))
+			}
+		}
+		return dst
 	}
-	// c.cand is the receiver scan's scratch; it is fully consumed here
-	// before any other channel method can run.
-	c.cand = c.index.NearbyAppend(p, r, c.cand[:0])
-	start := len(dst)
+	// c.cand and c.byID are the receiver scan's scratch; they are fully
+	// consumed here before any other channel method can run.
+	c.gather(p, r)
 	for i := range c.cand {
+		c.markID(c.cand[i].ID, i)
+	}
+	c.byID = c.sweepIDs(c.byID[:0])
+	for _, i := range c.byID {
 		dst = append(dst, c.cand[i].ID)
 	}
-	dst = append(dst, c.unindexed...)
-	slices.Sort(dst[start:])
 	return dst
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,7 +4,7 @@ package radio
 // transitions a sender's neighborhood is identical frame after frame, so
 // startTransmission can replay its last admitted receiver list instead
 // of re-running the spatial query, the listening/detached filter, the
-// exact distance checks, and the ID sort. The design (and the proof
+// exact distance checks, and the ID-ordering sweep. The design (and the proof
 // sketch of byte-identity against the NoRxCache reference path) is
 // documented in DESIGN.md §16; the short form:
 //
@@ -202,33 +202,27 @@ func (c *Channel) replayFromCache(tx *transmission, st *station, pos geom.Point,
 // admission still uses the exact Range — buying each boundary candidate
 // a distance margin before its decision needs re-deriving.
 func (c *Channel) fillCache(tx *transmission, st *station, pos geom.Point, r2, rq, now float64) {
-	c.cand = c.index.NearbyAppend(pos, rq, c.cand[:0])
-	for _, oid := range c.unindexed {
-		c.cand = append(c.cand, spatial.Candidate[*station]{ID: oid, Payload: c.stations[oid]})
-	}
-	c.keys = c.keys[:0]
+	c.gather(pos, rq)
 	for i := range c.cand {
-		cd := &c.cand[i]
 		// Sleeping candidates are cached too (their listening bit is read
 		// live at replay); only the sender itself is excluded.
-		if cd.Payload == st {
-			continue
+		if cd := &c.cand[i]; cd.Payload != st {
+			c.markID(cd.ID, i)
 		}
-		c.keys = append(c.keys, int64(cd.ID)<<32|int64(i))
 	}
-	slices.Sort(c.keys)
+	c.byID = c.sweepIDs(c.byID[:0])
 	e := &st.rxc
 	e.cover = append(e.cover[:0], c.cover...)
 	// Grow once instead of doubling through the append loop: first fills
 	// otherwise allocate log(len) times per station, which at dense
 	// populations is real GC churn.
-	e.list = slices.Grow(e.list[:0], len(c.keys))
+	e.list = slices.Grow(e.list[:0], len(c.byID))
 	e.at = now
 	e.epoch = c.chEpoch
 	e.valid = true
-	tx.rx = c.rxBuf(len(c.keys))
-	for _, k := range c.keys {
-		other := c.cand[k&(1<<32-1)].Payload
+	tx.rx = c.rxBuf(len(c.byID))
+	for _, i := range c.byID {
+		other := c.cand[i].Payload
 		if !other.listening || other.detached {
 			// Cached unevaluated: the reference scan skips sleeping hosts
 			// before reading their position, and so must the fill.

@@ -64,7 +64,7 @@ func TestCoverEpochsIncludesEmptyCellsAndIsStable(t *testing.T) {
 	}
 }
 
-func TestCoverEpochsBumpOnInsertRemoveTouch(t *testing.T) {
+func TestCoverEpochsBumpOnInsertRemove(t *testing.T) {
 	engine := sim.NewEngine()
 	ix := NewIndex[int](engine, 125, 31.25)
 	q := geom.Point{X: 500, Y: 500}
@@ -78,22 +78,7 @@ func TestCoverEpochsBumpOnInsertRemoveTouch(t *testing.T) {
 		t.Fatalf("Insert changed %d covered cells, want exactly the arrival cell", d)
 	}
 
-	// Touch bumps the holder's cell even though nothing moved.
 	before = after
-	ix.Touch(7)
-	after = at()
-	if d := coverDiff(before, after); d != 1 {
-		t.Fatalf("Touch changed %d covered cells, want 1", d)
-	}
-
-	// Touching an untracked ID is a no-op.
-	before = after
-	ix.Touch(99)
-	if !coversEqual(before, at()) {
-		t.Fatal("Touch of an untracked ID changed the cover")
-	}
-
-	before = at()
 	ix.Remove(7)
 	after = at()
 	if d := coverDiff(before, after); d != 1 {
@@ -104,7 +89,7 @@ func TestCoverEpochsBumpOnInsertRemoveTouch(t *testing.T) {
 	before = after
 	far := geom.Point{X: 5000, Y: 5000}
 	ix.Insert(8, 8, func() geom.Point { return far }, never)
-	ix.Touch(8)
+	ix.Remove(8)
 	if !coversEqual(before, at()) {
 		t.Fatal("events outside the cover changed it")
 	}
@@ -149,7 +134,6 @@ func TestGridGrowthPreservesEpochs(t *testing.T) {
 	for id := hostid.ID(0); id < 10; id++ {
 		p := geom.Point{X: 150 + 10*float64(id), Y: 200}
 		ix.Insert(id, int(id), func() geom.Point { return p }, never)
-		ix.Touch(id)
 	}
 	before := coverAt(ix, home, 300)
 	nonzero := false
@@ -173,9 +157,9 @@ func TestGridGrowthPreservesEpochs(t *testing.T) {
 
 	// And the epoch order is monotonic through growth: another event in
 	// the home neighborhood still reads as exactly one bumped cell.
-	ix.Touch(5)
+	ix.Remove(5)
 	if d := coverDiff(before, coverAt(ix, home, 300)); d != 1 {
-		t.Fatalf("post-growth Touch changed %d covered cells, want 1", d)
+		t.Fatalf("post-growth Remove changed %d covered cells, want 1", d)
 	}
 }
 

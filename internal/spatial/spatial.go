@@ -108,11 +108,11 @@ type Index[T any] struct {
 //
 // epochs runs parallel to buckets: a monotonic per-cell counter bumped
 // on every membership change of the cell (add, remove, re-bucket in or
-// out) and on every explicit Touch. Cells outside the occupied box have
-// the implicit epoch 0, and growth relocates counters with their cells,
-// so the epoch of an absolute cell coordinate never moves backwards —
-// an (epoch now == epoch then) comparison proves the cell's membership
-// (and every Touch-signalled payload state) is unchanged since then.
+// out). Cells outside the occupied box have the implicit epoch 0, and
+// growth relocates counters with their cells, so the epoch of an
+// absolute cell coordinate never moves backwards — an (epoch now ==
+// epoch then) comparison proves the cell's membership is unchanged
+// since then.
 type cellGrid[T any] struct {
 	box
 	buckets [][]*entry[T]
@@ -144,12 +144,6 @@ func (g *cellGrid[T]) epochAt(cx, cy int32) uint64 {
 		return 0
 	}
 	return g.epochs[i]
-}
-
-// bump advances the epoch of an occupied cell. The cell must be inside
-// the box: callers bump the cell an existing entry is bucketed in.
-func (g *cellGrid[T]) bump(k cellKey) {
-	g.epochs[(k.cy-g.minY)*g.w+(k.cx-g.minX)]++
 }
 
 // ensure grows the box to include k.
@@ -366,9 +360,9 @@ type CellEpoch struct {
 // out-of-box cells (implicit epoch 0), because a later add there would
 // change the scan's result — and returns dst. Two equal covers prove
 // that between the two calls no tracked host was added to, removed
-// from, or re-bucketed through any cell the scan reads, and that no
-// covered host was Touched; a NearbyAppend at the second instant would
-// therefore return exactly the candidates it returned at the first.
+// from, or re-bucketed through any cell the scan reads; a NearbyAppend
+// at the second instant would therefore return exactly the candidates
+// it returned at the first.
 // Pass a recycled dst[:0] to keep the digest allocation-free.
 func (ix *Index[T]) CoverEpochs(p geom.Point, radius float64, dst []CellEpoch) []CellEpoch {
 	cy0, cy1 := ix.rowRange(p, radius)
@@ -383,17 +377,6 @@ func (ix *Index[T]) CoverEpochs(p geom.Point, radius float64, dst []CellEpoch) [
 		}
 	}
 	return dst
-}
-
-// Touch bumps the epoch of the cell currently holding id, invalidating
-// every cover that includes the host's cell. Callers use it to signal a
-// payload state change (a radio listen flip) that epoch comparisons
-// must observe even though nothing moved. Touching an untracked ID is a
-// no-op: such hosts are outside every cover anyway.
-func (ix *Index[T]) Touch(id hostid.ID) {
-	if e, ok := ix.byID[id]; ok {
-		ix.cells.bump(e.key)
-	}
 }
 
 // surelyWithin reports whether every point of the cell's loose bounds
