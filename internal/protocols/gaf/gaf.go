@@ -127,6 +127,7 @@ type Protocol struct {
 	st         state
 	stateTimer *sim.Timer
 	annTimer   *sim.Timer // discovery-message broadcast within Td
+	wakeFn     func()     // host.WakeByTimer, bound once for every sleep
 	yielded    bool       // heard a higher-ranked grid-mate this round
 
 	stopped bool
@@ -155,6 +156,7 @@ func New(h *node.Host, opt Options, endpoint bool) *Protocol {
 	p.HostAODV = routing.NewHostAODV(h, opt.AODVOptions, p, &p.Stats.AODVStats, opt.DiscoveryTimeout)
 	p.stateTimer = sim.NewTimer(h.Engine(), p.stateExpired)
 	p.annTimer = sim.NewTimer(h.Engine(), p.announce)
+	p.wakeFn = h.WakeByTimer
 	return p
 }
 
@@ -359,8 +361,7 @@ func (p *Protocol) goToSleep() {
 		if p.stopped || p.st != stateSleeping || p.host.Asleep() {
 			return
 		}
-		wake := sim.NewTimer(p.host.Engine(), func() { p.host.WakeByTimer() })
-		wake.Reset(ts)
+		p.host.Engine().Schedule(ts, p.wakeFn)
 		p.host.Sleep()
 	})
 }

@@ -152,6 +152,7 @@ type Protocol struct {
 	helloTicker *sim.Ticker
 	checkTicker *sim.Ticker
 	cycleTimer  *sim.Timer // PSM duty cycle
+	wakeFn      func()     // host.WakeByTimer, bound once for every sleep
 	pendingAnn  sim.Handle // randomized coordinator announcement backoff
 
 	stopped bool
@@ -166,6 +167,7 @@ func New(h *node.Host, opt Options) *Protocol {
 	p := &Protocol{host: h, opt: opt}
 	p.HostAODV = routing.NewHostAODV(h, opt.AODVOptions, p, &p.Stats.AODVStats, opt.BeaconPeriod)
 	p.cycleTimer = sim.NewTimer(h.Engine(), p.cycleSleep)
+	p.wakeFn = h.WakeByTimer
 	return p
 }
 
@@ -287,8 +289,7 @@ func (p *Protocol) cycleSleep() {
 	}
 	sleepFor := (1 - p.opt.AwakeFrac) * p.opt.BeaconPeriod
 	p.Stats.SleepsEntered++
-	wake := sim.NewTimer(p.host.Engine(), func() { p.host.WakeByTimer() })
-	wake.Reset(sleepFor)
+	p.host.Engine().Schedule(sleepFor, p.wakeFn)
 	p.host.Sleep()
 }
 

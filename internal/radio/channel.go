@@ -41,30 +41,34 @@ type Mover interface {
 
 // transmission is a frame in flight. Transmissions are pooled: by the
 // end of endTransmission nothing references the struct (the carrier
-// sense set, the sender, and every receiving list have let go), so it is
-// recycled for the next startTransmission.
+// sense set and the sender have let go), so it is recycled for the next
+// startTransmission.
 type transmission struct {
 	frame   *Frame
 	sender  *station
 	from    geom.Point // sender position at transmission start
 	ends    float64
-	rx      []reception // fixed-capacity: receiving maps hold &rx[i]
+	rx      []reception // one per admitted receiver, in ID order
 	seq     uint64      // carrier-sense index key
 	attempt int         // retry count for unicast
 	live    int         // position in Channel.liveTx (swap-delete index)
 	endFn   func()      // endTransmission(self), bound once per pooled struct
 }
 
-// reception is one receiver's view of a transmission.
+// reception is one receiver's view of a transmission. Nothing points
+// at it: the station keeps counters, not a list, and the verdict is
+// read off them when the transmission ends (station.endRx).
 type reception struct {
-	tx        *transmission
 	st        *station
-	corrupted bool
+	gen       uint64 // st.rxGen at admission; a mismatch means aborted
+	seq       uint64 // channel-wide admission sequence (Channel.rxSeq)
+	corrupted bool   // jammed or half-duplex at admission
 }
 
 // station is the channel-side state of an attached endpoint.
 type station struct {
 	ep        Endpoint
+	bat       *energy.Battery // ep.Battery(), read once at Attach
 	listening bool
 	detached  bool
 
@@ -72,15 +76,19 @@ type station struct {
 	// tryFn is the backoff-expiry callback bound once at Attach, so each
 	// medium-access cycle schedules without allocating a closure.
 	tryFn func()
-	// receiving holds the in-progress receptions at this station. It is
-	// a slice, not a map: stations overhear at most a handful of frames
-	// at once, so a linear scan beats hashing, and every consumer is
-	// either a pure existence check or an order-insensitive corruption
-	// sweep, so insertion order (which is deterministic) never shows.
-	receiving []*reception
-	queue     sendQueue
-	accessing bool // backoff event pending
-	cwSlots   int  // current contention window
+	// Reception bookkeeping (beginRx, endRx, abortRx): rxN receptions
+	// are in progress, rxClean of them not yet corrupted. rxGen counts
+	// aborts (sleep or detach mid-frame), and collideSeq is the
+	// admission sequence of the last admission that overlapped one in
+	// progress. Every in-progress reception is corrupted by such an
+	// overlap, so a reception admitted at seq ends corrupted iff it was
+	// corrupted at admission or collideSeq > seq.
+	rxN, rxClean int
+	rxGen        uint64
+	collideSeq   uint64
+	queue        sendQueue
+	accessing    bool // backoff event pending
+	cwSlots      int  // current contention window
 
 	// unidx marks a station on the channel's unindexed side list: its
 	// Attach and Detach invalidate caches via the channel-wide epoch
@@ -98,29 +106,51 @@ type station struct {
 	busySet   bool
 }
 
-// dropReceiving removes one reception from the station's in-progress
-// list by identity. Swap-delete: order is not meaningful (see receiving).
-func (s *station) dropReceiving(r *reception) bool {
-	for j, o := range s.receiving {
-		if o == r {
-			last := len(s.receiving) - 1
-			s.receiving[j] = s.receiving[last]
-			s.receiving[last] = nil
-			s.receiving = s.receiving[:last]
-			return true
+// beginRx opens a reception at s with admission sequence seq. corrupted
+// reports a jam; with collide (CollisionsEnabled) a transmitting
+// station cannot receive, and a reception that overlaps others
+// corrupts them all. It returns the reception and the collisions the
+// admission counts: one per reception it corrupts, itself included,
+// the same count a sweep over a list of in-progress receptions gives.
+func (s *station) beginRx(seq uint64, corrupted, collide bool) (reception, uint64) {
+	var n uint64
+	if collide {
+		if s.transmitting != nil {
+			corrupted = true // half-duplex
+		}
+		if s.rxN > 0 {
+			n = uint64(s.rxClean) + 1
+			s.rxClean = 0
+			s.collideSeq = seq
+			corrupted = true
 		}
 	}
-	return false
+	s.rxN++
+	if !corrupted {
+		s.rxClean++
+	}
+	return reception{st: s, gen: s.rxGen, seq: seq, corrupted: corrupted}, n
 }
 
-// abortReceiving corrupts and clears every in-progress reception (the
-// station slept or died mid-frame).
-func (s *station) abortReceiving() {
-	for i, r := range s.receiving {
-		r.corrupted = true
-		s.receiving[i] = nil
+// endRx closes r at its station. live is false when an abort already
+// dropped it; otherwise corrupted is its verdict.
+func (s *station) endRx(r *reception) (live, corrupted bool) {
+	if r.gen != s.rxGen {
+		return false, false
 	}
-	s.receiving = s.receiving[:0]
+	s.rxN--
+	corrupted = r.corrupted || s.collideSeq > r.seq
+	if !corrupted {
+		s.rxClean--
+	}
+	return true, corrupted
+}
+
+// abortRx drops every in-progress reception (the station slept or died
+// mid-frame); each one's endRx will report it dead.
+func (s *station) abortRx() {
+	s.rxN, s.rxClean = 0, 0
+	s.rxGen++
 }
 
 // queued is a frame waiting for medium access.
@@ -136,7 +166,7 @@ func (s *station) mode() energy.Mode {
 		return energy.Sleep
 	case s.transmitting != nil:
 		return energy.Transmit
-	case len(s.receiving) > 0:
+	case s.rxN > 0:
 		return energy.Receive
 	default:
 		return energy.Idle
@@ -155,11 +185,15 @@ type Channel struct {
 
 	// stations is the one station lookup: indexed by host ID, nil where
 	// no host is attached. Walking its non-nil slots is ascending-ID
-	// iteration. idMark and idSlot run beside it for markID/sweepIDs:
-	// one bit per ID, all clear between sweeps, and the candidate index
-	// recorded with each marked ID. idLo..idHi bounds the marked words
-	// (idLo > idHi when nothing is marked).
+	// iteration. awake mirrors listening && !detached per ID, so a cache
+	// replay can skip a sleeping candidate without loading its station;
+	// only Attach, Detach and SetListening write it. idMark and idSlot
+	// run beside it for markID/sweepIDs: one bit per ID, all clear
+	// between sweeps, and the candidate index recorded with each marked
+	// ID. idLo..idHi bounds the marked words (idLo > idHi when nothing
+	// is marked).
 	stations   []*station
+	awake      []bool
 	idMark     []uint64
 	idSlot     []int32
 	idLo, idHi int
@@ -176,12 +210,15 @@ type Channel struct {
 	// cell-scan order; cpos holds each admitted candidate's position
 	// (parallel to cand); byID lists candidate indices in host-ID order,
 	// as sweepIDs returns them for the candidates a scan marked. rxFree
-	// recycles reception buffers (their pointers leave the receiving
-	// lists before the buffer is pooled).
+	// recycles reception buffers: nothing points into one, so any pooled
+	// buffer serves any transmission and the pool never holds more than
+	// the peak number in flight. rxSeq numbers admissions channel-wide
+	// (reception.seq).
 	cand   []spatial.Candidate[*station]
 	cpos   []geom.Point
 	byID   []int32
 	rxFree [][]reception
+	rxSeq  uint64
 	// Receiver-set cache state (rxcache.go). rxCacheOn gates the whole
 	// plane: it requires the spatial index and is switched off by
 	// cfg.NoRxCache, the live reference path. cover is the per-scan
@@ -282,6 +319,7 @@ func (c *Channel) Attach(ep Endpoint) {
 	}
 	st := &station{
 		ep:        ep,
+		bat:       ep.Battery(),
 		listening: true,
 		cwSlots:   c.cfg.MinBackoffSlots,
 	}
@@ -289,12 +327,14 @@ func (c *Channel) Attach(ep Endpoint) {
 	if n := int(id) + 1; n > len(c.stations) {
 		// slices.Grow appends, so the tables grow geometrically.
 		c.stations = slices.Grow(c.stations, n-len(c.stations))[:n]
+		c.awake = slices.Grow(c.awake, n-len(c.awake))[:n]
 		c.idSlot = slices.Grow(c.idSlot, n-len(c.idSlot))[:n]
 		if w := (n + 63) >> 6; w > len(c.idMark) {
 			c.idMark = slices.Grow(c.idMark, w-len(c.idMark))[:w]
 		}
 	}
 	c.stations[id] = st
+	c.awake[id] = true
 	if c.index != nil {
 		if mv, ok := ep.(Mover); ok {
 			// Insert bumps the cell's epoch, so covers over the arrival
@@ -375,8 +415,9 @@ func (c *Channel) Detach(id hostid.ID) {
 		c.ReleaseFrame(st.queue.popFront().frame)
 	}
 	st.queue.clear()
-	st.abortReceiving()
+	st.abortRx()
 	c.stations[id] = nil
+	c.awake[id] = false
 	if c.index != nil {
 		c.index.Remove(id)
 		if j := slices.Index(c.unindexed, id); j >= 0 {
@@ -398,8 +439,9 @@ func (c *Channel) SetListening(id hostid.ID, on bool) {
 		return
 	}
 	st.listening = on
+	c.awake[id] = on
 	if !on {
-		st.abortReceiving()
+		st.abortRx()
 	}
 	c.updateMode(st)
 }
@@ -414,7 +456,7 @@ func (c *Channel) updateMode(st *station) {
 	if st.detached {
 		return
 	}
-	st.ep.Battery().SetMode(c.engine.Now(), st.mode())
+	st.bat.SetMode(c.engine.Now(), st.mode())
 }
 
 // Send queues a frame for transmission from src. The frame goes on air
@@ -499,7 +541,7 @@ func (c *Channel) tryTransmit(st *station) {
 		return
 	}
 	pos := st.ep.Position()
-	if c.stationBusy(st, pos) || len(st.receiving) > 0 {
+	if c.stationBusy(st, pos) || st.rxN > 0 {
 		// Medium busy: defer, exponentially widening the window.
 		c.counters.DeferredAccess++
 		st.cwSlots = min(st.cwSlots*2, c.cfg.MaxBackoffSlots)
@@ -602,12 +644,12 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 			c.markID(cd.ID, i)
 		}
 		c.byID = c.sweepIDs(c.byID[:0])
-		tx.rx = c.rxBuf(len(c.byID))
+		tx.rx = c.rxBuf()
 		for _, i := range c.byID {
 			c.admitReception(tx, c.cand[i].Payload, pos, c.cpos[i])
 		}
 	} else {
-		tx.rx = c.rxBuf(len(c.stations))
+		tx.rx = c.rxBuf()
 		for _, other := range c.stations {
 			if other == nil || other == st || !other.listening {
 				continue
@@ -623,65 +665,38 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	c.engine.Schedule(air+c.cfg.PropDelay, tx.endFn)
 }
 
-// rxBuf returns a reception buffer with at least the given capacity,
-// recycling one retired by endTransmission when it fits. The capacity
-// is a hard ceiling: receiving maps hold pointers into the buffer, so
-// it must never grow (admitReception enforces this).
-func (c *Channel) rxBuf(capacity int) []reception {
+// rxBuf returns an empty reception buffer, recycling one retired by
+// endTransmission when the pool has any.
+func (c *Channel) rxBuf() []reception {
 	if n := len(c.rxFree); n > 0 {
 		buf := c.rxFree[n-1]
-		if cap(buf) >= capacity {
-			c.rxFree[n-1] = nil
-			c.rxFree = c.rxFree[:n-1]
-			return buf
-		}
+		c.rxFree[n-1] = nil
+		c.rxFree = c.rxFree[:n-1]
+		return buf
 	}
-	return make([]reception, 0, capacity)
+	return nil
 }
 
-// recycleRx returns a transmission's reception buffer to the pool. All
-// pointers into it have left the receiving maps by end of transmission;
-// entries are zeroed so pooled buffers don't retain frames.
+// recycleRx returns a transmission's reception buffer to the pool.
+// Entries are zeroed so pooled buffers don't retain stations.
 func (c *Channel) recycleRx(tx *transmission) {
 	buf := tx.rx
 	tx.rx = nil
-	for i := range buf {
-		buf[i] = reception{}
-	}
+	clear(buf)
 	c.rxFree = append(c.rxFree, buf[:0])
 }
 
 // admitReception records that other hears tx, applying interception and
-// collision corruption. tx.rx must have spare capacity: receiving maps
-// hold pointers into it, so growth would invalidate them.
+// collision corruption.
 func (c *Channel) admitReception(tx *transmission, other *station, from, to geom.Point) {
-	if len(tx.rx) == cap(tx.rx) {
-		panic("radio: reception buffer capacity underestimated")
-	}
-	rx := reception{tx: tx, st: other}
-	if c.Interceptor != nil && !c.Interceptor(tx.frame, from, to) {
-		rx.corrupted = true
+	jammed := c.Interceptor != nil && !c.Interceptor(tx.frame, from, to)
+	if jammed {
 		c.counters.Jammed++
 	}
-	if c.cfg.CollisionsEnabled {
-		if other.transmitting != nil {
-			// Half-duplex: a transmitting host cannot receive.
-			rx.corrupted = true
-		}
-		if len(other.receiving) > 0 {
-			// Overlap: every concurrent reception is corrupted.
-			rx.corrupted = true
-			for _, o := range other.receiving {
-				if !o.corrupted {
-					o.corrupted = true
-					c.counters.Collisions++
-				}
-			}
-			c.counters.Collisions++
-		}
-	}
+	c.rxSeq++
+	rx, collisions := other.beginRx(c.rxSeq, jammed, c.cfg.CollisionsEnabled)
+	c.counters.Collisions += collisions
 	tx.rx = append(tx.rx, rx)
-	other.receiving = append(other.receiving, &tx.rx[len(tx.rx)-1])
 	c.updateMode(other)
 }
 
@@ -706,11 +721,11 @@ func (c *Channel) endTransmission(tx *transmission) {
 	dstOK := false
 	for i := range tx.rx {
 		rx := &tx.rx[i]
-		// The reception may have been aborted by sleep/detach, in which
-		// case it is no longer in the receiving list.
-		if rx.st.dropReceiving(rx) {
+		// Sleep and detach abort a station's receptions (endRx reports
+		// them dead), so a live one's station is still awake and attached.
+		if live, corrupted := rx.st.endRx(rx); live {
 			c.updateMode(rx.st)
-			if rx.corrupted || rx.st.detached || !rx.st.listening {
+			if corrupted {
 				continue
 			}
 			if tx.frame.Dst == hostid.Broadcast || tx.frame.Dst == rx.st.ep.ID() {

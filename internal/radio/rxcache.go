@@ -13,10 +13,12 @@ package radio
 //     included, but left unevaluated — ID-sorted, each listening host
 //     with its in-range decision and a drift deadline (safeUntil)
 //     derived from its distance margin |d − Range| and the channel-wide
-//     speed bound vmax. Listening and detached are read live at replay,
-//     so duty-cycle flips (SPAN/GAF sleeping most of the population)
-//     never invalidate an entry; a candidate found listening for the
-//     first time is evaluated then, from its live position.
+//     speed bound vmax. A candidate is its host's ID plus those three
+//     fields: 16 bytes, no pointer. Listening and detached are read live
+//     at replay, from the channel's awake table, so duty-cycle flips
+//     (SPAN/GAF sleeping most of the population) never invalidate an
+//     entry; a candidate found listening for the first time is
+//     evaluated then, from its live position.
 //   - The entry is keyed by the exact (cell, epoch) cover of the padded
 //     scan (spatial.Index.CoverEpochs). Any add/remove/re-bucket through
 //     a covered cell bumps a covered epoch and forces a miss. A host
@@ -51,9 +53,14 @@ const rxMarginGuard = 1e-3
 
 // rxCand is one cached candidate: a host bucketed inside the entry's
 // cover at fill time (sleeping ones included — listening is read live
-// at replay, so sleep/wake flips never invalidate an entry).
+// at replay, so sleep/wake flips never invalidate an entry). It names
+// the host by ID, not by *station: 16 bytes with no pointer, so a dense
+// population's candidate lists are small and the GC never scans them.
+// The ID always resolves to the station the fill saw: a detach removes
+// the host from its cell (or bumps chEpoch), so an entry naming a
+// detached ID misses before any replay could read it.
 type rxCand struct {
-	st *station
+	id int32
 	// eval reports whether inRange/safeUntil have ever been derived.
 	// Sleeping candidates are cached unevaluated — the reference scan
 	// never reads a sleeping host's position, so the fill must not
@@ -160,25 +167,26 @@ func (c *Channel) replayFromCache(tx *transmission, st *station, pos geom.Point,
 			return false
 		}
 	}
-	tx.rx = c.rxBuf(len(e.list))
+	tx.rx = c.rxBuf()
 	sameInstant := now == e.at
 	for i := range e.list {
 		cd := &e.list[i]
 		// Listening and detached are read live, exactly as the reference
 		// scan reads them at this instant — a sleeping candidate costs
-		// two boolean loads instead of an entry invalidation.
-		if !cd.st.listening || cd.st.detached {
+		// one load from the awake table instead of an entry invalidation.
+		if !c.awake[cd.id] {
 			continue
 		}
+		other := c.stations[cd.id]
 		if !cd.eval || (!sameInstant && now >= cd.safeUntil) {
 			c.rxStats.Rechecks++
-			opos := cd.st.ep.Position()
+			opos := other.ep.Position()
 			d2 := pos.Dist2(opos)
 			cd.eval = true
 			cd.inRange = d2 <= r2
 			cd.safeUntil = c.safeHorizon(now, math.Abs(math.Sqrt(d2)-c.cfg.Range)-rxMarginGuard)
 			if cd.inRange {
-				c.admitReception(tx, cd.st, pos, opos)
+				c.admitReception(tx, other, pos, opos)
 			}
 			continue
 		}
@@ -188,9 +196,9 @@ func (c *Channel) replayFromCache(tx *transmission, st *station, pos geom.Point,
 			// path would hand them.
 			var opos geom.Point
 			if c.Interceptor != nil {
-				opos = cd.st.ep.Position()
+				opos = other.ep.Position()
 			}
-			c.admitReception(tx, cd.st, pos, opos)
+			c.admitReception(tx, other, pos, opos)
 		}
 	}
 	return true
@@ -220,20 +228,21 @@ func (c *Channel) fillCache(tx *transmission, st *station, pos geom.Point, r2, r
 	e.at = now
 	e.epoch = c.chEpoch
 	e.valid = true
-	tx.rx = c.rxBuf(len(c.byID))
+	tx.rx = c.rxBuf()
 	for _, i := range c.byID {
-		other := c.cand[i].Payload
+		cd := &c.cand[i]
+		other := cd.Payload
 		if !other.listening || other.detached {
 			// Cached unevaluated: the reference scan skips sleeping hosts
 			// before reading their position, and so must the fill.
-			e.list = append(e.list, rxCand{st: other})
+			e.list = append(e.list, rxCand{id: int32(cd.ID)})
 			continue
 		}
 		opos := other.ep.Position()
 		d2 := pos.Dist2(opos)
 		inRange := d2 <= r2
 		e.list = append(e.list, rxCand{
-			st:        other,
+			id:        int32(cd.ID),
 			eval:      true,
 			inRange:   inRange,
 			safeUntil: c.safeHorizon(now, math.Abs(math.Sqrt(d2)-c.cfg.Range)-rxMarginGuard),
