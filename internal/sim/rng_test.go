@@ -1,6 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +130,150 @@ func TestRNGIntnAndPerm(t *testing.T) {
 	}
 	if r.Seed() != 4 {
 		t.Fatalf("Seed() = %d, want 4", r.Seed())
+	}
+}
+
+// fnv64a is the stream-name hash that Stream XORs into the root seed.
+func fnv64a(name string) int64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	return int64(h.Sum64())
+}
+
+// drawKinds is the number of draw kinds that draw mixes.
+const drawKinds = 10
+
+// draw makes one draw of the given kind and returns it as raw words, so
+// that two generators can be compared draw for draw. The kinds cover
+// direct reads of both source methods, power-of-two and rejection-sampled
+// Intn, Int63n, and the ziggurat and permutation helpers, which take a
+// varying number of outputs per draw.
+func draw(r *rand.Rand, kind, n int) []uint64 {
+	switch kind % drawKinds {
+	case 0:
+		return []uint64{math.Float64bits(r.Float64())}
+	case 1:
+		return []uint64{uint64(r.Intn(64))}
+	case 2:
+		return []uint64{uint64(r.Intn(1000))}
+	case 3:
+		return []uint64{uint64(r.Int63n(1 << 40))}
+	case 4:
+		return []uint64{uint64(r.Int63n(1e12 + 7))}
+	case 5:
+		return []uint64{uint64(r.Int63())}
+	case 6:
+		return []uint64{r.Uint64()}
+	case 7:
+		return []uint64{math.Float64bits(r.ExpFloat64())}
+	case 8:
+		return []uint64{math.Float64bits(r.NormFloat64())}
+	default:
+		var out []uint64
+		for _, v := range r.Perm(1 + n%9) {
+			out = append(out, uint64(v))
+		}
+		return out
+	}
+}
+
+// TestStreamsMatchMathRand pins every registered stream, format families
+// expanded at low and high host indices, to the math/rand sequence its
+// seed names, over a mix of draws long enough to run well past any
+// stored prefix. The streams of one RNG are all created before the first
+// draw and then drawn round robin, so no stream may depend on state that
+// a later stream's creation reuses.
+func TestStreamsMatchMathRand(t *testing.T) {
+	const draws = 64 // four times the 16-output prefix a stream stores
+	var names []string
+	for _, name := range StreamRegistry {
+		switch {
+		case strings.Contains(name, "%d"):
+			for _, i := range []int{0, 1, 9999} {
+				names = append(names, fmt.Sprintf(name, i))
+			}
+		case strings.Contains(name, "%s"):
+			for _, i := range []int{0, 1, 9999} {
+				names = append(names, fmt.Sprintf(name, fmt.Sprintf("ref.%d", i)),
+					fmt.Sprintf(name, fmt.Sprintf("m.%d", i)))
+			}
+		default:
+			names = append(names, name)
+		}
+	}
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := NewRNG(seed)
+		got := make([]*rand.Rand, len(names))
+		want := make([]*rand.Rand, len(names))
+		for j, name := range names {
+			got[j] = rng.Stream(name)
+			want[j] = rand.New(rand.NewSource(seed ^ fnv64a(name)))
+		}
+		for i := 0; i < draws; i++ {
+			for j, name := range names {
+				kind := i + j + int(seed)
+				if g, w := draw(got[j], kind, i), draw(want[j], kind, i); !slices.Equal(g, w) {
+					t.Fatalf("seed %d stream %q draw %d (kind %d): got %v, math/rand gives %v",
+						seed, name, i, kind%drawKinds, g, w)
+				}
+			}
+		}
+	}
+}
+
+// FuzzStreamMatchesMathRand drives one stream with a fuzzer-chosen mix
+// of draws and compares it with math/rand. Two op codes go beyond
+// draws: one re-seeds the stream through (*rand.Rand).Seed, after which
+// it must match rand.NewSource of the new seed, and one creates another
+// stream on the same RNG, which must not disturb the first.
+func FuzzStreamMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), StreamRadioBackoff, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, int64(5))
+	f.Add(int64(-7), "scengen.manhattan.9999", append(bytes.Repeat([]byte{2}, 18), 10, 6), int64(0))
+	f.Add(int64(0), "", []byte{11, 9, 9, 9, 7, 8, 10, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, int64(-1<<63))
+	f.Fuzz(func(t *testing.T, root int64, name string, ops []byte, reseed int64) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		rng := NewRNG(root)
+		got := rng.Stream(name)
+		want := rand.New(rand.NewSource(root ^ fnv64a(name)))
+		for i, op := range ops {
+			switch kind := int(op) % (drawKinds + 2); kind {
+			case drawKinds:
+				s := reseed + int64(i)
+				got.Seed(s)
+				want = rand.New(rand.NewSource(s))
+			case drawKinds + 1:
+				rng.Stream(fmt.Sprintf("%s/%d", name, i)).Uint64()
+			default:
+				if g, w := draw(got, kind, i), draw(want, kind, i); !slices.Equal(g, w) {
+					t.Fatalf("op %d (kind %d): got %v, math/rand gives %v", i, kind, g, w)
+				}
+			}
+		}
+	})
+}
+
+// TestIdleStreamFootprint gates the memory of a stream that draws only a
+// few values, as each per-host stream of a 10k-host scenario does: it
+// must cost a small fraction of math/rand's 4.9 KB generator state.
+func TestIdleStreamFootprint(t *testing.T) {
+	const n, maxBytes = 10000, 512
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rng := NewRNG(1)
+	for i := 0; i < n; i++ {
+		s := rng.Stream(fmt.Sprintf(StreamScengenManhattan, i))
+		s.Float64()
+		s.Float64()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rng)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d idle streams: %d B live per stream", n, per)
+	if per > maxBytes {
+		t.Fatalf("an idle stream holds %d B, want at most %d", per, maxBytes)
 	}
 }
