@@ -10,7 +10,7 @@
 //	figures -csv -fig 7b    # CSV output
 //	figures -fast           # shrunken sweeps (shape-preserving)
 //	figures -parallel 1     # serial execution
-//	figures -manifest runs.jsonl -resume   # record runs; skip completed on rerun
+//	figures -store results/ # skip runs already in the result store
 package main
 
 import (
@@ -36,19 +36,12 @@ func main() {
 		seeds    = flag.Int("seeds", 1, "repeat across this many seeds and report mean±CI")
 		out      = flag.String("out", "", "also write one CSV per figure into this directory")
 		parallel = flag.Int("parallel", 0, "concurrent simulations; 0 uses all cores, 1 runs serially")
-		manifest = flag.String("manifest", "", "append a JSONL manifest of completed runs to this file")
-		resume   = flag.Bool("resume", false, "skip runs already recorded in the -manifest file")
 		storeDir = flag.String("store", "", "content-addressed result store directory shared with simd; cached runs are skipped")
 		quiet    = flag.Bool("q", false, "suppress per-run progress on stderr")
 		scenRef  = flag.String("scenario", "",
 			"overlay the generator spec of this scenario (a JSON file or scenarios/<name> entry) onto every figure run")
 	)
 	flag.Parse()
-
-	if *resume && *manifest == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -manifest to name the file")
-		os.Exit(2)
-	}
 
 	var figs []experiment.Figure
 	overhead := false
@@ -66,13 +59,11 @@ func main() {
 	defer stop()
 
 	opt := experiment.Options{
-		Seed:     *seed,
-		Seeds:    *seeds,
-		Fast:     *fast,
-		Workers:  *parallel,
-		Manifest: *manifest,
-		Resume:   *resume,
-		Context:  ctx,
+		Seed:    *seed,
+		Seeds:   *seeds,
+		Fast:    *fast,
+		Workers: *parallel,
+		Context: ctx,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)

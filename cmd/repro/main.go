@@ -8,7 +8,7 @@
 //	repro -fast      # shrunken horizons
 //	repro -v         # show each simulation as it runs
 //	repro -parallel 1                 # serial execution
-//	repro -out runs.jsonl -resume     # record runs; skip completed on rerun
+//	repro -store results/             # skip runs already in the result store
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"ecgrid/internal/claims"
+	"ecgrid/internal/store"
 )
 
 func main() {
@@ -25,29 +26,26 @@ func main() {
 		fast     = flag.Bool("fast", false, "shrunken horizons")
 		verbose  = flag.Bool("v", false, "print each simulation run")
 		parallel = flag.Int("parallel", 0, "concurrent simulations; 0 uses all cores, 1 runs serially")
-		out      = flag.String("out", "", "append a JSONL manifest of completed runs to this file")
-		resume   = flag.Bool("resume", false, "skip runs already recorded in the -out manifest")
+		storeDir = flag.String("store", "", "content-addressed result store directory shared with simd; cached runs are skipped")
 	)
 	flag.Parse()
 
-	if *resume && *out == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -out to name the manifest")
-		os.Exit(2)
-	}
-
 	env := claims.NewEnv(*seed, *fast)
 	env.Workers = *parallel
-	env.Manifest = *out
-	env.Resume = *resume
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir, store.DefaultCacheEntries)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		env.Store = st
+	}
 	if *verbose {
 		env.Progress = func(s string) { fmt.Fprintf(os.Stderr, "running %s\n", s) }
 	}
 
 	all := claims.All()
 	verdicts := claims.CheckAll(env, all, *parallel)
-	if err := env.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
 
 	failures := 0
 	for i, c := range all {

@@ -3,9 +3,10 @@
 // mean latency, first death, final alive fraction, and aen.
 //
 // Runs fan out across a worker pool (-parallel; every worker count
-// reproduces the serial results exactly), and -out records a JSONL
-// manifest as runs complete so an interrupted sweep restarts where it
-// left off with -resume.
+// reproduces the serial results exactly), and -store keeps every
+// successful run in a content-addressed result store, so rerunning an
+// interrupted sweep on the same store executes only the runs it never
+// finished.
 //
 // Usage:
 //
@@ -13,8 +14,7 @@
 //	sweep -param pause -values 0,100,200,300,400,500,600
 //	sweep -param speed -values 1,2,5,10 -duration 590
 //	sweep -param seed  -values 1,2,3,4,5 -protocols ecgrid
-//	sweep -param hosts -values 50,100,150,200 -out sweep.jsonl -parallel 8
-//	sweep -param hosts -values 50,100,150,200 -out sweep.jsonl -resume
+//	sweep -param hosts -values 50,100,150,200 -store results/ -parallel 8
 //	sweep -scenario dense-manhattan-10k -param seed -values 1 -store results/
 //
 // -scenario bases every run on a generated scenario from the
@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,14 +48,11 @@ func main() {
 		duration  = flag.Float64("duration", 590, "simulated seconds per run")
 		seed      = flag.Int64("seed", 1, "base random seed")
 		parallel  = flag.Int("parallel", 0, "concurrent runs; 0 uses all cores, 1 runs serially")
-		out       = flag.String("out", "", "append a JSONL manifest of completed runs to this file")
-		resume    = flag.Bool("resume", false, "skip runs already recorded in the -out manifest")
 		storeDir  = flag.String("store", "", "content-addressed result store directory shared with simd; cached runs are skipped")
 		scenRef   = flag.String("scenario", "",
 			"base every run on a generated scenario: a JSON file path or a scenarios/<name> library entry")
 		noRxCache = flag.Bool("norxcache", false,
 			"disable the receiver-plane cache in every run (uncached reference scan; byte-identical results, so a warm -store answers from its entries)")
-		retries  = flag.Int("retries", 0, "extra attempts for a failed run")
 		faultArg = flag.String("faults", "",
 			"inject a fault plan into every run: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -157,33 +155,11 @@ func main() {
 		}
 	}
 
-	if *resume && *out == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -out to name the manifest")
-		os.Exit(2)
-	}
 	opt := batch.Options{
 		Workers: *parallel,
-		Retries: *retries,
 		// The batch layer already says what each line means ("tag",
-		// "tag (resumed)", retry notices), so print it unadorned.
+		// "tag (cached)", store errors), so print it unadorned.
 		Progress: batch.NewSink(func(s string) { fmt.Fprintln(os.Stderr, s) }),
-	}
-	if *out != "" {
-		if *resume {
-			entries, err := batch.LoadManifest(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			opt.Resume = entries
-		}
-		m, err := batch.CreateManifest(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer m.Close()
-		opt.Manifest = m
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)
@@ -217,6 +193,10 @@ func main() {
 			i++
 			if res.Err != nil {
 				fmt.Fprintf(os.Stderr, "failed %s: %v\n", res.Tag, res.Err)
+				var pe *batch.PanicError
+				if errors.As(res.Err, &pe) {
+					fmt.Fprint(os.Stderr, pe.Stack)
+				}
 				continue
 			}
 			r := res.Res

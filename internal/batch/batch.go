@@ -11,12 +11,12 @@
 //     by completion order, so any worker count reproduces the serial
 //     output exactly;
 //   - a stable content key per job (SHA-256 of the canonical config
-//     encoding, see Key) and a JSONL manifest written as runs complete,
-//     so a partially finished sweep can be resumed with the completed
-//     jobs skipped and their recorded results rehydrated;
-//   - per-job panic isolation with the goroutine stack captured, a
-//     bounded retry policy, and a failed-jobs Summary instead of one bad
-//     configuration killing a 200-run sweep;
+//     encoding, see Key) under which a ResultStore keeps every
+//     successful run, so rerunning an interrupted sweep on the same
+//     store executes only the jobs it never finished;
+//   - per-job panic isolation with the goroutine stack captured, and a
+//     failed-jobs Summary instead of one bad configuration killing a
+//     200-run sweep;
 //   - context.Context cancellation and a goroutine-safe progress Sink
 //     that serializes lines from concurrent workers.
 //
@@ -39,8 +39,7 @@ import (
 
 // Job is one simulation to run.
 type Job struct {
-	// Tag is an optional human-readable label used in progress lines and
-	// manifest entries.
+	// Tag is an optional human-readable label used in progress lines.
 	Tag string
 	// Cfg is the scenario to run. It must be valid; an invalid config
 	// panics inside runner.Run and surfaces as a failed Result.
@@ -57,15 +56,9 @@ type Result struct {
 	Key string
 	// Res holds the simulation results; nil when Err is non-nil.
 	Res *runner.Results
-	// Err is the terminal failure after all attempts, a *PanicError when
-	// the run panicked, or the context error when cancelled before the
-	// job could run.
+	// Err is the run's failure, a *PanicError when the run panicked, or
+	// the context error when cancelled before the job could run.
 	Err error
-	// Attempts counts executions, 0 for resumed, cached, or cancelled
-	// jobs.
-	Attempts int
-	// Resumed marks a job satisfied from the resume manifest.
-	Resumed bool
 	// Cached marks a job satisfied from Options.Store.
 	Cached bool
 }
@@ -76,7 +69,8 @@ type Result struct {
 // interface so the store package stays an optional layer above.
 //
 // The store is strictly an optimization: Get errors make the job run,
-// Put errors make it uncached — neither fails the batch.
+// Put errors make it uncached — neither fails the batch. Failed runs are
+// never stored, so a rerun on the same store executes them again.
 type ResultStore interface {
 	// Get returns the cached results for key, or ok=false on a miss.
 	Get(key string) (*runner.Results, bool, error)
@@ -88,20 +82,12 @@ type ResultStore interface {
 type Options struct {
 	// Workers caps concurrent simulations; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Retries is the number of extra attempts after a failed run.
-	Retries int
-	// Progress, if non-nil, receives one line as each job starts, resumes,
-	// or fails.
+	// Progress, if non-nil, receives one line as each job starts or is
+	// served from the store.
 	Progress *Sink
-	// Manifest, if non-nil, records an Entry as each job completes.
-	Manifest *Manifest
-	// Resume maps content keys to previously completed manifest entries
-	// (from LoadManifest); jobs whose key has a successful entry are not
-	// re-run — their results are rehydrated from the entry.
-	Resume map[string]Entry
 	// Store, if non-nil, is consulted before each job runs (a hit skips
-	// the run, like Resume but persistent and cross-process) and filled
-	// after each successful run. See ResultStore.
+	// the run, across processes) and filled after each successful run.
+	// See ResultStore.
 	Store ResultStore
 }
 
@@ -122,7 +108,6 @@ func (o Options) WorkerCount() int { return o.workers() }
 type Summary struct {
 	Total     int
 	Executed  int
-	Resumed   int
 	Cached    int
 	Failed    int
 	Cancelled int
@@ -170,13 +155,6 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 
 	for i, j := range jobs {
 		results[i] = Result{Index: i, Tag: j.Tag, Key: Key(j.Cfg)}
-		if e, ok := opt.Resume[results[i].Key]; ok && e.Resumable() {
-			results[i].Res = e.Results
-			results[i].Resumed = true
-			sum.Resumed++
-			opt.Progress.Log("%s (resumed)", j.Tag)
-			continue
-		}
 		if opt.Store != nil {
 			res, ok, err := opt.Store.Get(results[i].Key)
 			if err != nil {
@@ -222,16 +200,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				res, attempts, err := execute(jobs[i].Tag, jobs[i].Cfg, opt)
-				results[i].Res = res
-				results[i].Attempts = attempts
-				results[i].Err = err
-				if err == nil && opt.Store != nil {
-					if perr := opt.Store.Put(results[i].Key, res); perr != nil {
-						opt.Progress.Log("%s: store write: %v", jobs[i].Tag, perr)
-					}
-				}
-				record(opt.Manifest, jobs[i].Cfg, results[i])
+				results[i].Res, results[i].Err = execute(jobs[i].Tag, results[i].Key, jobs[i].Cfg, opt)
 			}
 		}()
 	}
@@ -254,16 +223,17 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 	return results, sum
 }
 
-// execute runs one config with panic isolation and the retry policy.
-func execute(tag string, cfg scenario.Config, opt Options) (res *runner.Results, attempts int, err error) {
-	for attempts = 1; ; attempts++ {
-		opt.Progress.Log("%s", tag)
-		res, err = runOnce(cfg)
-		if err == nil || attempts > opt.Retries {
-			return res, attempts, err
+// execute runs one config with panic isolation and stores a successful
+// result under key.
+func execute(tag, key string, cfg scenario.Config, opt Options) (*runner.Results, error) {
+	opt.Progress.Log("%s", tag)
+	res, err := runOnce(cfg)
+	if err == nil && opt.Store != nil {
+		if perr := opt.Store.Put(key, res); perr != nil {
+			opt.Progress.Log("%s: store write: %v", tag, perr)
 		}
-		opt.Progress.Log("%s: attempt %d failed (%v), retrying", tag, attempts, err)
 	}
+	return res, err
 }
 
 // runOnce executes a single simulation, converting a panic into an error
@@ -275,21 +245,4 @@ func runOnce(cfg scenario.Config) (res *runner.Results, err error) {
 		}
 	}()
 	return runner.Run(cfg), nil
-}
-
-// record appends the job's manifest entry, if a manifest is attached.
-func record(m *Manifest, cfg scenario.Config, r Result) {
-	if m == nil {
-		return
-	}
-	e := Entry{Key: r.Key, Tag: r.Tag, Status: StatusOK, Attempts: r.Attempts, Results: r.Res}
-	if r.Err != nil {
-		e.Status = StatusFailed
-		e.Error = r.Err.Error()
-		if p, ok := r.Err.(*PanicError); ok {
-			e.Stack = p.Stack
-		}
-		e.Cfg = &cfg
-	}
-	m.Append(e)
 }

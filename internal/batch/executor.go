@@ -16,13 +16,12 @@ import (
 // request into a submission.
 //
 // Submissions are deduplicated by content key: concurrent and repeated
-// submissions of the same canonical config share one execution (and one
-// manifest entry), and completed results are cached for the executor's
-// lifetime. With Options.Store set, results are also checked against and
-// written to the persistent store, so identical submissions across
-// executor (and process) lifetimes run once ever. Panic isolation,
-// retries, the resume manifest, and the progress sink behave exactly as
-// in Run.
+// submissions of the same canonical config share one execution, and
+// completed results are cached for the executor's lifetime. With
+// Options.Store set, results are also checked against and written to the
+// persistent store, so identical submissions across executor (and
+// process) lifetimes run once ever. Panic isolation and the progress
+// sink behave exactly as in Run.
 type Executor struct {
 	ctx context.Context
 	opt Options
@@ -39,9 +38,9 @@ type call struct {
 	err  error
 }
 
-// NewExecutor returns an executor whose workers, retries, progress,
-// manifest, resume map, and store come from opt. Cancelling ctx fails
-// pending and future submissions with the context's error.
+// NewExecutor returns an executor whose workers, progress, and store
+// come from opt. Cancelling ctx fails pending and future submissions
+// with the context's error.
 func NewExecutor(ctx context.Context, opt Options) *Executor {
 	return &Executor{
 		ctx:   ctx,
@@ -52,9 +51,8 @@ func NewExecutor(ctx context.Context, opt Options) *Executor {
 }
 
 // Run executes cfg (or joins an identical in-flight execution, or
-// satisfies it from the resume manifest or result store) and blocks
-// until its results are available. It is RunCtx without a per-call
-// context.
+// satisfies it from the result store) and blocks until its results are
+// available. It is RunCtx without a per-call context.
 func (x *Executor) Run(tag string, cfg scenario.Config) (*runner.Results, error) {
 	return x.RunCtx(context.Background(), tag, cfg)
 }
@@ -65,7 +63,7 @@ func (x *Executor) Run(tag string, cfg scenario.Config) (*runner.Results, error)
 // decision to start at all. A simulation already running is not
 // interrupted: runner.Run has no preemption points, so cancellation
 // takes effect at the next wait, and a result computed after the caller
-// gave up still lands in the store and manifest for whoever asks next.
+// gave up still lands in the store for whoever asks next.
 //
 // A call abandoned by its owner *before* executing (per-call or executor
 // context cancelled while queued) is removed from the dedup map, so a
@@ -102,11 +100,6 @@ func (x *Executor) RunCtx(ctx context.Context, tag string, cfg scenario.Config) 
 		return nil, err
 	}
 
-	if e, ok := x.opt.Resume[key]; ok && e.Resumable() {
-		x.opt.Progress.Log("%s (resumed)", tag)
-		c.res = e.Results
-		return c.res, nil
-	}
 	if x.opt.Store != nil {
 		res, ok, err := x.opt.Store.Get(key)
 		if err != nil {
@@ -135,13 +128,6 @@ func (x *Executor) RunCtx(ctx context.Context, tag string, cfg scenario.Config) 
 	}
 	defer func() { <-x.sem }()
 
-	res, attempts, err := execute(tag, cfg, x.opt)
-	if err == nil && x.opt.Store != nil {
-		if perr := x.opt.Store.Put(key, res); perr != nil {
-			x.opt.Progress.Log("%s: store write: %v", tag, perr)
-		}
-	}
-	c.res, c.err = res, err
-	record(x.opt.Manifest, cfg, Result{Key: key, Tag: tag, Res: res, Attempts: attempts, Err: err})
+	c.res, c.err = execute(tag, key, cfg, x.opt)
 	return c.res, c.err
 }

@@ -71,33 +71,6 @@ func TestExecutorPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestExecutorResume(t *testing.T) {
-	cfg := tinyCfg(scenario.GRID, 3)
-	// Record the run once.
-	results, sum := Run(context.Background(), []Job{{Tag: "seed", Cfg: cfg}}, Options{})
-	if err := sum.Err(); err != nil {
-		t.Fatal(err)
-	}
-	entries := map[string]Entry{
-		Key(cfg): {Key: Key(cfg), Status: StatusOK, Results: results[0].Res},
-	}
-	var lines []string
-	x := NewExecutor(context.Background(), Options{
-		Resume:   entries,
-		Progress: NewSink(func(s string) { lines = append(lines, s) }),
-	})
-	r, err := x.Run("resumed", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != results[0].Res {
-		t.Fatal("resume did not hand back the recorded results")
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "(resumed)") {
-		t.Fatalf("progress = %v, want one resumed line", lines)
-	}
-}
-
 func TestExecutorCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

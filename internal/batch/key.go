@@ -11,7 +11,7 @@ import (
 // Key returns the job's stable content key: the hex SHA-256 of the
 // config's canonical JSON encoding. Two configs with equal keys describe
 // the same simulation, and a deterministic simulator therefore the same
-// results — the property manifests and resume rely on. The encoding is
+// results — the property the result store relies on. The encoding is
 // canonical because Config is a plain struct (fields encode in
 // declaration order, no maps) and its runtime-only fields — the Trace
 // recorder and the execution settings Radio.BruteForce and

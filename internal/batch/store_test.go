@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -98,6 +99,48 @@ func TestRunStoreUncachedHitsCachedEntry(t *testing.T) {
 	}
 	if string(marshal(t, first[0].Res)) != string(marshal(t, second[0].Res)) {
 		t.Fatal("uncached rerun served different results")
+	}
+}
+
+// TestRunStoreSkipsFailedJobs: a failed run is never stored, so a rerun
+// on the same store executes it again — and, the simulator being
+// deterministic, it fails the same way — while the good jobs come back
+// from the store.
+func TestRunStoreSkipsFailedJobs(t *testing.T) {
+	bad := tinyCfg(scenario.ECGRID, 1)
+	bad.Hosts = -1 // fails Validate, so runner.Run panics
+	jobs := []Job{
+		{Tag: "good-1", Cfg: tinyCfg(scenario.ECGRID, 1)},
+		{Tag: "bad", Cfg: bad},
+		{Tag: "good-2", Cfg: tinyCfg(scenario.ECGRID, 2)},
+	}
+	st := newMemStore()
+	first, sum := Run(context.Background(), jobs, Options{Workers: 2, Store: st})
+	if sum.Failed != 1 || sum.Executed != 2 {
+		t.Fatalf("cold batch = %+v, want 1 failed / 2 executed", sum)
+	}
+	if _, ok := st.m[Key(bad)]; ok || st.puts != 2 {
+		t.Fatalf("store holds the failed run (puts = %d, want 2)", st.puts)
+	}
+
+	second, sum2 := Run(context.Background(), jobs, Options{Workers: 2, Store: st})
+	if sum2.Cached != 2 || sum2.Executed != 0 || sum2.Failed != 1 {
+		t.Fatalf("warm batch = %+v, want 2 cached / 0 executed / 1 failed", sum2)
+	}
+	if second[1].Cached || second[1].Res != nil {
+		t.Fatalf("failed job served from the store: %+v", second[1])
+	}
+	var pe1, pe2 *PanicError
+	if !errors.As(first[1].Err, &pe1) || !errors.As(second[1].Err, &pe2) {
+		t.Fatalf("bad job errors %v / %v, want *PanicError twice", first[1].Err, second[1].Err)
+	}
+	if pe1.Value != pe2.Value {
+		t.Fatalf("rerun failed differently: %q, then %q", pe1.Value, pe2.Value)
+	}
+	for _, i := range []int{0, 2} {
+		if !second[i].Cached {
+			t.Errorf("job %d (%s) not served from the store", i, jobs[i].Tag)
+		}
 	}
 }
 

@@ -45,16 +45,13 @@ type Env struct {
 	Progress func(string)
 	// Workers caps concurrent simulations; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Manifest, when non-empty, appends a JSONL manifest entry per run;
-	// Resume loads it first and skips runs already recorded (see
-	// internal/batch).
-	Manifest string
-	Resume   bool
+	// Store, if non-nil, is a persistent content-addressed result cache
+	// consulted before each run and filled after (see batch.ResultStore
+	// and internal/store).
+	Store batch.ResultStore
 
-	once     sync.Once
-	exec     *batch.Executor
-	manifest *batch.Manifest
-	initErr  error
+	once sync.Once
+	exec *batch.Executor
 }
 
 // NewEnv returns an empty environment.
@@ -63,36 +60,13 @@ func NewEnv(seed int64, fast bool) *Env {
 }
 
 // init builds the executor on first use, after the caller has had the
-// chance to set Progress, Workers, and the manifest fields.
+// chance to set Progress, Workers, and Store.
 func (e *Env) init() {
-	opt := batch.Options{Workers: e.Workers, Progress: batch.NewSink(e.Progress)}
-	if e.Manifest != "" {
-		if e.Resume {
-			resume, err := batch.LoadManifest(e.Manifest)
-			if err != nil {
-				e.initErr = err
-				return
-			}
-			opt.Resume = resume
-		}
-		m, err := batch.CreateManifest(e.Manifest)
-		if err != nil {
-			e.initErr = err
-			return
-		}
-		e.manifest = m
-		opt.Manifest = m
-	}
-	e.exec = batch.NewExecutor(context.Background(), opt)
-}
-
-// Close flushes the manifest, if one was attached.
-func (e *Env) Close() error {
-	e.once.Do(e.init)
-	if e.manifest != nil {
-		return e.manifest.Close()
-	}
-	return e.initErr
+	e.exec = batch.NewExecutor(context.Background(), batch.Options{
+		Workers:  e.Workers,
+		Progress: batch.NewSink(e.Progress),
+		Store:    e.Store,
+	})
 }
 
 // run executes (or returns the cached) simulation for cfg. A simulation
@@ -101,9 +75,6 @@ func (e *Env) Close() error {
 // verdict.
 func (e *Env) run(cfg scenario.Config) *runner.Results {
 	e.once.Do(e.init)
-	if e.initErr != nil {
-		panic(e.initErr)
-	}
 	r, err := e.exec.Run(fmt.Sprintf("%v dur=%v", cfg, cfg.Duration), cfg)
 	if err != nil {
 		panic(fmt.Errorf("claims: %v: %w", cfg, err))
@@ -281,8 +252,8 @@ func All() []Claim {
 					d = 300
 				}
 				// MedianLatency (not Collector.LatencyPercentile) so the
-				// claim still measures after a manifest resume, where only
-				// exported Results fields survive serialization.
+				// claim still measures on a store hit, where only exported
+				// Results fields survive serialization.
 				g := e.run(e.base(scenario.GRID, 1, 100, d)).MedianLatency * 1000
 				c := e.run(e.base(scenario.ECGRID, 1, 100, d)).MedianLatency * 1000
 				f := e.run(e.base(scenario.GAF, 1, 100, d)).MedianLatency * 1000

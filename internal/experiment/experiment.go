@@ -73,18 +73,10 @@ type Options struct {
 	// Workers caps concurrent simulation runs; <= 0 uses GOMAXPROCS.
 	// Results are identical for every value (see the package comment).
 	Workers int
-	// Retries is the number of extra attempts after a failed run.
-	Retries int
-	// Manifest, when non-empty, appends a JSONL manifest entry per
-	// completed run to this path (see internal/batch).
-	Manifest string
-	// Resume, when true, loads Manifest first and skips runs whose
-	// results are already recorded there.
-	Resume bool
 	// Store, if non-nil, is a persistent content-addressed result cache
 	// consulted before each run and filled after (see batch.ResultStore
-	// and internal/store). Unlike Resume it survives across processes
-	// and is shared with cmd/simd.
+	// and internal/store). It survives across processes and is shared
+	// with cmd/simd.
 	Store batch.ResultStore
 	// Context, when non-nil, cancels in-flight sweeps.
 	Context context.Context
@@ -185,24 +177,8 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 	}
 	bopt := batch.Options{
 		Workers:  opt.Workers,
-		Retries:  opt.Retries,
 		Progress: batch.NewSink(opt.Progress),
 		Store:    opt.Store,
-	}
-	if opt.Manifest != "" {
-		if opt.Resume {
-			resume, err := batch.LoadManifest(opt.Manifest)
-			if err != nil {
-				return nil, err
-			}
-			bopt.Resume = resume
-		}
-		m, err := batch.CreateManifest(opt.Manifest)
-		if err != nil {
-			return nil, err
-		}
-		defer m.Close()
-		bopt.Manifest = m
 	}
 	ctx := opt.Context
 	if ctx == nil {

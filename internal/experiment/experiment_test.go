@@ -3,9 +3,10 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"ecgrid/internal/store"
 )
 
 func TestAllListsTenFigures(t *testing.T) {
@@ -173,33 +174,43 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestManifestResumeReproducesFigure: a figure regenerated from its own
-// manifest (all runs resumed) equals the original.
-func TestManifestResumeReproducesFigure(t *testing.T) {
-	opt := Options{Seed: 1, Fast: true}
-	opt.Manifest = filepath.Join(t.TempDir(), "fig.jsonl")
+// TestStoreReproducesFigure: a figure regenerated from a warm store (every
+// run served from it, none executed) equals the cold original byte for
+// byte.
+func TestStoreReproducesFigure(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.DefaultCacheEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 1, Fast: true, Store: st}
 	first, err := Run(Fig7a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Resume = true
-	resumed := 0
-	opt.Progress = func(s string) {
-		if strings.Contains(s, "(resumed)") {
-			resumed++
-		}
-	}
+	var lines []string
+	opt.Progress = func(s string) { lines = append(lines, s) }
 	second, err := Run(Fig7a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed == 0 {
-		t.Fatal("no runs were resumed from the manifest")
+	if len(lines) == 0 {
+		t.Fatal("warm run logged no progress")
 	}
-	a, _ := json.Marshal(first)
-	b, _ := json.Marshal(second)
+	for _, l := range lines {
+		if !strings.HasSuffix(l, "(cached)") {
+			t.Fatalf("warm run executed %q instead of reading the store", l)
+		}
+	}
+	a, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(a) != string(b) {
-		t.Fatal("resumed figure differs from the original")
+		t.Fatalf("figure from the warm store differs from the cold run:\n%s\n%s", a, b)
 	}
 }
 

@@ -7,7 +7,7 @@
 //     result is an error and discards every result. In a request
 //     handler a swallowed write error means a client sees a truncated
 //     body with a 200 status; in the batch runner it means a lost
-//     manifest record. Handle the error or annotate the line:
+//     store write. Handle the error or annotate the line:
 //
 //     w.Write(b) //simlint:err response write; client gone, nothing to do
 //

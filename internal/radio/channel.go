@@ -179,7 +179,6 @@ type Channel struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	cfg      Config
-	active   map[*transmission]struct{}
 	counters Counters
 	perKind  map[string]KindCount
 
@@ -239,9 +238,9 @@ type Channel struct {
 	frameFree []*Frame
 	txSeq     uint64
 	// liveTx tracks every in-flight transmission (both carrier-sense
-	// modes, including ones whose sender has since detached) so Shutdown
-	// can return their frames to the pool. Removal is swap-delete via
-	// transmission.live.
+	// modes, including ones whose sender has since detached): Shutdown
+	// returns their frames to the pool, and the brute-force reference
+	// carrier sense scans it. Removal is swap-delete via transmission.live.
 	liveTx []*transmission
 
 	// Sniffer, when non-nil, observes every transmission start. Tests
@@ -275,7 +274,6 @@ func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
 		cfg:     cfg,
 		idLo:    math.MaxInt,
 		idHi:    -1,
-		active:  make(map[*transmission]struct{}),
 		perKind: make(map[string]KindCount),
 	}
 	if !cfg.BruteForce {
@@ -496,14 +494,13 @@ func (c *Channel) maybeAccess(st *station) {
 
 // busyAround reports whether any transmission is audible at p. With the
 // spatial index, carrier sense probes only the cells within range of p;
-// the brute-force reference scans every active transmission (order-free:
-// the result is a bare existence check).
+// the brute-force reference scans every in-flight transmission (liveTx).
 func (c *Channel) busyAround(p geom.Point) bool {
 	if c.txIdx != nil {
 		return c.txIdx.AnyWithin(p, c.cfg.Range)
 	}
 	r2 := c.cfg.Range * c.cfg.Range
-	for tx := range c.active { //simlint:ordered bare existence check, any order gives the same bool
+	for _, tx := range c.liveTx {
 		if tx.from.Dist2(p) <= r2 {
 			return true
 		}
@@ -582,12 +579,10 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	tx.attempt = q.attempt
 	c.txSeq++
 	st.transmitting = tx
-	// Carrier sense reads exactly one of the two structures (busyAround),
-	// so only the one in use is maintained.
+	// Carrier sense reads txIdx, or liveTx in the brute-force reference
+	// (busyAround).
 	if c.txIdx != nil {
 		c.txIdx.Add(tx.seq, pos)
-	} else {
-		c.active[tx] = struct{}{}
 	}
 	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	tx.live = len(c.liveTx)
@@ -704,8 +699,6 @@ func (c *Channel) endTransmission(tx *transmission) {
 	st := tx.sender
 	if c.txIdx != nil {
 		c.txIdx.Remove(tx.seq, tx.from)
-	} else {
-		delete(c.active, tx)
 	}
 	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	last := len(c.liveTx) - 1

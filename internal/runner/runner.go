@@ -42,7 +42,7 @@ type Results struct {
 	DeliveryRate                float64
 	MeanLatency, MaxLatency     float64
 	// MedianLatency is the 0.5-quantile of delivery delays, exported so
-	// it survives manifest serialization (internal/batch) where the
+	// it survives result-store serialization (internal/store) where the
 	// collector's raw latency samples do not.
 	MedianLatency float64
 
@@ -62,7 +62,7 @@ type Results struct {
 	Protocol map[string]uint64
 
 	// Recovery observables, populated when the scenario injects faults.
-	// Plain fields (like MedianLatency) so they survive batch manifest
+	// Plain fields (like MedianLatency) so they survive result-store
 	// serialization. The rates and means are -1 when unmeasurable: no
 	// in/out-window traffic, no replaced gateway, no post-fault delivery.
 	GatewayCrashes        int

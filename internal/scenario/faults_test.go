@@ -56,8 +56,8 @@ func TestValidateGAFFaultPlanCoversEndpoints(t *testing.T) {
 }
 
 func TestNilFaultPlanOmittedFromJSON(t *testing.T) {
-	// The batch runner keys manifests on the marshaled Config; a nil plan
-	// must not change the JSON, or every pre-existing manifest key breaks.
+	// The batch runner keys results on the marshaled Config; a nil plan
+	// must not change the JSON, or every pre-existing store key breaks.
 	data, err := json.Marshal(Default(ECGRID))
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ type Config struct {
 	Shards int `json:"-"`
 	// Faults, if non-nil and non-empty, injects the plan's crashes,
 	// battery shocks, jamming, paging loss, and GPS errors into the run.
-	// omitempty keeps the JSON encoding — and with it batch manifest
+	// omitempty keeps the JSON encoding — and with it batch content
 	// keys — identical to fault-free configs when no plan is set.
 	Faults *faults.Plan `json:",omitempty"`
 	// Gen, if non-nil, expands a declarative scenario-generator spec

@@ -163,7 +163,7 @@ func TestValidateGenSpec(t *testing.T) {
 
 // TestGenOmitemptyKeepsEncoding: configs without a generator spec must
 // encode exactly as before the field existed — that invariance is what
-// keeps batch manifest keys of the whole existing corpus stable.
+// keeps batch content keys of the whole existing corpus stable.
 func TestGenOmitemptyKeepsEncoding(t *testing.T) {
 	b, err := json.Marshal(Default(ECGRID))
 	if err != nil {
