@@ -114,7 +114,7 @@ func BenchmarkAblationNoLoadBalance(b *testing.B) {
 func BenchmarkAblationGlobalFlood(b *testing.B) {
 	cfg := shortScenario(scenario.ECGRID)
 	o := core.DefaultOptions()
-	o.GlobalFloodOnly = true
+	o.Search = core.SearchGlobal
 	cfg.ECGRIDOptions = &o
 	benchScenario(b, cfg)
 }

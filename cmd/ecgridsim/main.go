@@ -38,9 +38,8 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed (runs are reproducible per seed)")
 		verbose  = flag.Bool("v", false, "print protocol and radio counters")
 		traceN   = flag.Int("trace", 0, "print the last N on-air events")
-		confPath = flag.String("config", "", "load the scenario from a JSON file (other flags are ignored)")
 		scenRef  = flag.String("scenario", "",
-			"load a generated scenario: a JSON file path or a scenarios/<name> library entry (other flags are ignored)")
+			"load the scenario from a JSON file path or a scenarios/<name> library entry (other flags are ignored)")
 		savePath = flag.String("save", "", "write the resulting scenario to a JSON file and exit")
 		faultArg = flag.String("faults", "",
 			"inject faults: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
@@ -59,14 +58,6 @@ func main() {
 	cfg.Duration = *duration
 	cfg.InitialEnergyJ = *energyJ
 	cfg.Seed = *seed
-	if *confPath != "" {
-		loaded, err := scenario.Load(*confPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg = loaded
-	}
 	if *scenRef != "" {
 		loaded, err := scenario.ResolveRef(*scenRef)
 		if err != nil {

@@ -69,9 +69,6 @@ func (p *Protocol) startDiscovery(dst hostid.ID) {
 func (p *Protocol) searchAreaFor(dst hostid.ID, attempt int) grid.SearchArea {
 	part := p.host.Partition()
 	policy := p.opt.Search
-	if p.opt.GlobalFloodOnly {
-		policy = SearchGlobal
-	}
 	if policy == SearchGlobal {
 		return grid.GlobalSearchArea(part)
 	}

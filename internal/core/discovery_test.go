@@ -46,16 +46,16 @@ func TestSearchAreaConfinedWithKnownDestGrid(t *testing.T) {
 	}
 }
 
-func TestGlobalFloodOnlyOption(t *testing.T) {
+func TestSearchGlobalOption(t *testing.T) {
 	tb := newTestbed(t)
 	opt := DefaultOptions()
-	opt.GlobalFloodOnly = true
+	opt.Search = SearchGlobal
 	p := tb.add(opt, nil, 150, 150, 500)
 	tb.start()
 	tb.engine.Run(5)
 	p.table.Update(routing.Entry{Dst: 99, DestGrid: grid.Coord{X: 2, Y: 1}, Seq: 1}, tb.engine.Now())
 	if p.searchAreaFor(99, 0).Cells() != 100 {
-		t.Fatal("GlobalFloodOnly still confined the search")
+		t.Fatal("SearchGlobal still confined the search")
 	}
 }
 

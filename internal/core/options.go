@@ -103,9 +103,6 @@ type Options struct {
 	// (ablation), sleeping destinations receive buffered packets only
 	// when their own dwell timers happen to wake them — GAF-style.
 	UseRAS bool
-	// GlobalFloodOnly disables search-area confinement (ablation): all
-	// RREQs flood the whole partition. Equivalent to SearchGlobal.
-	GlobalFloodOnly bool
 	// Search selects the searching-area confinement policy (§3.3; the
 	// GRID paper offers several). See the SearchPolicy constants.
 	Search SearchPolicy

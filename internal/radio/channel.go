@@ -611,6 +611,7 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 		c.cachedReceivers(tx, st, pos, r2)
 	} else if c.index != nil {
 		c.gather(pos, c.cfg.Range)
+		c.rxStats.Candidates += uint64(len(c.cand))
 		// Filter first, order second: the range and listening checks are
 		// order-free (Position is pure per instant), so applying them
 		// before imposing ID order shrinks the sweep to the hosts that
@@ -645,6 +646,7 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 		}
 	} else {
 		tx.rx = c.rxBuf()
+		c.rxStats.Candidates += uint64(len(c.stations))
 		for _, other := range c.stations {
 			if other == nil || other == st || !other.listening {
 				continue

@@ -99,10 +99,15 @@ type SpeedBounded interface {
 	MaxSpeedMS() float64
 }
 
-// RxCacheStats is receiver-cache telemetry. Pure observability: none of
+// RxCacheStats is receiver-scan telemetry. Pure observability: none of
 // it feeds back into the simulation, and it is deliberately kept out of
 // Counters so cached and reference runs fingerprint identically.
 type RxCacheStats struct {
+	// Candidates counts the stations startTransmission's receiver scans
+	// examined: those gathered by a cache fill or an uncached scan, and
+	// the whole station table per frame under BruteForce. A cache hit
+	// examines none. Counted in every scan mode.
+	Candidates uint64
 	// Hits and Misses count startTransmission receiver scans replayed
 	// from cache versus recomputed (and refilled).
 	Hits   uint64
@@ -211,6 +216,7 @@ func (c *Channel) replayFromCache(tx *transmission, st *station, pos geom.Point,
 // a distance margin before its decision needs re-deriving.
 func (c *Channel) fillCache(tx *transmission, st *station, pos geom.Point, r2, rq, now float64) {
 	c.gather(pos, rq)
+	c.rxStats.Candidates += uint64(len(c.cand))
 	for i := range c.cand {
 		// Sleeping candidates are cached too (their listening bit is read
 		// live at replay); only the sender itself is excluded.

@@ -79,10 +79,11 @@ type Results struct {
 	// compiles. The next change to bench/ and BENCHMARK.json removes it.
 	Shard *ShardStats `json:"-"`
 
-	// RxCache is the receiver-plane cache's telemetry (hits, misses,
-	// rechecks). Runtime-only and excluded from the canonical encoding:
-	// cached runs are byte-identical to the NoRxCache reference, so
-	// stored results must not differ by cache behavior.
+	// RxCache is the receiver-scan telemetry (cache hits, misses,
+	// rechecks, scan candidates). Runtime-only and excluded from the
+	// canonical encoding: cached runs are byte-identical to the
+	// NoRxCache reference, so stored results must not differ by cache
+	// behavior.
 	RxCache radio.RxCacheStats `json:"-"`
 
 	Collector *metrics.Collector

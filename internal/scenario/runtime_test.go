@@ -10,12 +10,12 @@ import (
 	"ecgrid/internal/trace"
 )
 
-// TestShardsOmitemptyKeepsEncoding: how a run executes is not part of
+// TestExecutionFieldsStayOutOfEncodingAndKey: how a run executes is not part of
 // the model. A config that sets every runtime-only execution field must
 // encode — and therefore key — exactly like the default config, so one
 // simulation has one batch key and one store entry however it is run,
 // and the keys of the existing result corpus stay stable.
-func TestShardsOmitemptyKeepsEncoding(t *testing.T) {
+func TestExecutionFieldsStayOutOfEncodingAndKey(t *testing.T) {
 	def := scenario.Default(scenario.ECGRID)
 	want, err := json.Marshal(def)
 	if err != nil {
