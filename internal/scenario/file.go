@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -42,15 +44,23 @@ func ResolveRef(ref string) (Config, error) {
 
 // Load reads a configuration from path. Fields absent from the file keep
 // the zero value, so files usually start from a Default and override; the
-// result is validated before being returned.
+// result is validated before being returned. Decoding is strict, as
+// simd's /v1/run is: a field the Config does not have (a misspelling, or
+// an option that has since been removed) is an error naming it, not a
+// silently ignored key, and so is anything after the one JSON object.
 func Load(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("scenario: %w", err)
 	}
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("scenario: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("scenario: parse %s: data after the configuration object", path)
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, fmt.Errorf("scenario: %s: %w", path, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -221,4 +222,46 @@ func TestLoadRejectsInvalid(t *testing.T) {
 
 func writeFile(path, data string) error {
 	return os.WriteFile(path, []byte(data), 0o644)
+}
+
+// TestLoadRejectsUnknownFields holds Load to strict decoding: a key the
+// Config does not have, at the top level or nested, fails with the key
+// named, and so does trailing data.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/unknown.json"
+	for _, tc := range []struct{ data, want string }{
+		{`{"Protocol":"ecgrid","Hosts":5,"Hostz":5}`, `"Hostz"`},
+		{`{"Protocol":"ecgrid","Hosts":5,"ECGRIDOptions":{"GlobalFloodOnly":true}}`, `"GlobalFloodOnly"`},
+		{`{"Protocol":"ecgrid","Hosts":5,"Radio":{"Rnage":250}}`, `"Rnage"`},
+		{`{"Protocol":"ecgrid","Hosts":5} {}`, "after the configuration"},
+	} {
+		if err := writeFile(path, tc.data); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil {
+			t.Fatalf("Load accepted %s", tc.data)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Load(%s): error %q does not name %s", tc.data, err, tc.want)
+		}
+	}
+}
+
+// TestLibraryLoadsStrictly loads every committed scenarios/*.json file,
+// so a library entry that strict decoding rejects fails here first.
+func TestLibraryLoadsStrictly(t *testing.T) {
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no scenarios/*.json files found")
+	}
+	for _, f := range files {
+		if _, err := Load(f); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
 }

@@ -277,3 +277,79 @@ func TestIdleStreamFootprint(t *testing.T) {
 		t.Fatalf("an idle stream holds %d B, want at most %d", per, maxBytes)
 	}
 }
+
+// BenchmarkStreamCreate measures creating a stream and filling its
+// prefix, as set-up does once per host. Each RNG takes 1,024 streams
+// before a new one replaces it, so map growth is amortized as it is in
+// a scenario of that size.
+func BenchmarkStreamCreate(b *testing.B) {
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf(StreamScengenManhattan, i)
+	}
+	b.ReportAllocs()
+	var rng *RNG
+	for i := 0; i < b.N; i++ {
+		j := i % len(names)
+		if j == 0 {
+			rng = NewRNG(int64(i))
+		}
+		rng.Stream(names[j])
+	}
+}
+
+// prefixEdgeSeeds are the seeds where fillPrefix's normalisation can go
+// wrong: zero and the seed math/rand substitutes for it, the signs,
+// multiples of the modulus 2³¹−1 and their neighbours, 2³¹, and the
+// ends of int64.
+var prefixEdgeSeeds = []int64{
+	0, 1, -1, seedMod, -seedMod, seedMod - 1, seedMod + 1, -seedMod + 1, -seedMod - 1,
+	1 << 31, -1 << 31, 2 * seedMod, -2 * seedMod, 1234567 * seedMod, -1234567 * seedMod,
+	(math.MaxInt64 / seedMod) * seedMod, (math.MinInt64 / seedMod) * seedMod,
+	seedZero, -seedZero, seedZero + seedMod, math.MinInt64, math.MaxInt64,
+	math.MinInt64 + 1, math.MaxInt64 - 1,
+}
+
+// checkPrefix fails t unless fillPrefix(seed) equals the first prefixLen
+// Uint64 outputs of src, freshly seeded with seed.
+func checkPrefix(t *testing.T, src rand.Source64, seed int64) {
+	t.Helper()
+	var buf [prefixLen]uint64
+	fillPrefix(&buf, seed)
+	src.Seed(seed)
+	for k, got := range buf {
+		if want := src.Uint64(); got != want {
+			t.Fatalf("seed %d output %d: closed form gives %#x, rand.NewSource gives %#x", seed, k, got, want)
+		}
+	}
+}
+
+// TestPrefixMatchesSource pins the closed-form prefix to rand.NewSource
+// over the edge seeds and 10⁵ seeds from a fixed generator, half of them
+// shifted into the int32 range, where the modulus reduction is mostly
+// the identity and negative seeds take the wrap-around branch.
+func TestPrefixMatchesSource(t *testing.T) {
+	src := rand.NewSource(0).(rand.Source64)
+	for _, seed := range prefixEdgeSeeds {
+		checkPrefix(t, src, seed)
+	}
+	gen := rand.New(rand.NewSource(20031015))
+	for i := 0; i < 100000; i++ {
+		seed := int64(gen.Uint64())
+		if i%2 == 1 {
+			seed >>= 32
+		}
+		checkPrefix(t, src, seed)
+	}
+}
+
+// FuzzPrefixMatchesSource compares the closed-form prefix with
+// rand.NewSource for raw fuzzer-chosen seeds.
+func FuzzPrefixMatchesSource(f *testing.F) {
+	for _, seed := range prefixEdgeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkPrefix(t, rand.NewSource(0).(rand.Source64), seed)
+	})
+}
