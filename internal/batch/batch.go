@@ -98,12 +98,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerCount resolves the Workers setting the way Run and Executor do:
-// the value itself when positive, GOMAXPROCS otherwise. Exposed so
-// layers sizing their own pools against this one (internal/server's
-// worker slots) agree with it exactly.
-func (o Options) WorkerCount() int { return o.workers() }
-
 // Summary aggregates a batch run's outcome.
 type Summary struct {
 	Total     int
@@ -227,7 +221,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 // result under key.
 func execute(tag, key string, cfg scenario.Config, opt Options) (*runner.Results, error) {
 	opt.Progress.Log("%s", tag)
-	res, err := runOnce(cfg)
+	res, err := RunOnce(cfg)
 	if err == nil && opt.Store != nil {
 		if perr := opt.Store.Put(key, res); perr != nil {
 			opt.Progress.Log("%s: store write: %v", tag, perr)
@@ -236,9 +230,11 @@ func execute(tag, key string, cfg scenario.Config, opt Options) (*runner.Results
 	return res, err
 }
 
-// runOnce executes a single simulation, converting a panic into an error
-// with the captured stack.
-func runOnce(cfg scenario.Config) (res *runner.Results, err error) {
+// RunOnce executes a single simulation, converting a panic into a
+// *PanicError with the captured stack. It neither reads nor writes a
+// store: callers that keep results (Run, Executor, internal/server) do
+// that themselves.
+func RunOnce(cfg scenario.Config) (res *runner.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}

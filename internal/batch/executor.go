@@ -12,12 +12,14 @@ import (
 // through a shared worker pool. Where Run wants the whole job list up
 // front, Executor serves consumers that discover their runs dynamically
 // — cmd/repro's claims each request the simulations they need from
-// inside their check functions, and internal/server turns each HTTP
-// request into a submission.
+// inside their check functions.
 //
 // Submissions are deduplicated by content key: concurrent and repeated
 // submissions of the same canonical config share one execution, and
-// completed results are cached for the executor's lifetime. With
+// completed results (failures included) are cached for the executor's
+// lifetime, so an executor suits a bounded job set, not a resident
+// service: internal/server keeps its own singleflight and calls RunOnce
+// directly. With
 // Options.Store set, results are also checked against and written to the
 // persistent store, so identical submissions across executor (and
 // process) lifetimes run once ever. Panic isolation and the progress

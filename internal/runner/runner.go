@@ -157,9 +157,8 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 	type hostRec struct {
 		host     *node.Host
 		snd      *relaySender
-		limited  bool // counts toward alive fraction and aen
-		statsFn  func() map[string]uint64
-		prev     map[string]uint64 // counters of protocols lost to crashes
+		limited  bool                    // counts toward alive fraction and aen
+		addStats func(map[string]uint64) // adds the live protocol's counters
 		bat      *energy.Battery
 		endpoint bool
 		gw       func() (grid.Coord, bool) // current grid + gateway-ness (core only)
@@ -170,6 +169,9 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 		total += cfg.EndpointHosts
 	}
 	recs := make([]hostRec, 0, total)
+	// protoStats sums every protocol instance's counters: replaced
+	// instances as a crash recovery drops them, live ones at the end.
+	protoStats := make(map[string]uint64)
 
 	// deliver is every protocol's OnDeliver target: metrics first, then
 	// the request/response dispatch (bound later, once traffic exists —
@@ -185,15 +187,10 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 	// buildProtocol installs a fresh protocol instance on rec's host —
 	// at construction, and again on recovery from an injected crash
 	// (volatile protocol state does not survive a power cycle). Counters
-	// of the instance being replaced are folded into rec.prev first.
+	// of the instance being replaced are folded into protoStats first.
 	buildProtocol := func(rec *hostRec) {
-		if rec.statsFn != nil {
-			if rec.prev == nil {
-				rec.prev = make(map[string]uint64)
-			}
-			for k, v := range rec.statsFn() {
-				rec.prev[k] += v
-			}
+		if rec.addStats != nil {
+			rec.addStats(protoStats)
 		}
 		h := rec.host
 		rec.gw = nil
@@ -212,13 +209,13 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 			h.SetProtocol(p)
 			rec.snd.cur = p
 			rec.gw = func() (grid.Coord, bool) { return p.Grid(), p.IsGateway() }
-			rec.statsFn = func() map[string]uint64 { return coreStats(&p.Stats) }
+			rec.addStats = func(m map[string]uint64) { addCoreStats(m, &p.Stats) }
 		case scenario.SPAN:
 			p := span.New(h, span.DefaultOptions())
 			p.OnDeliver = deliver
 			h.SetProtocol(p)
 			rec.snd.cur = p
-			rec.statsFn = func() map[string]uint64 { return spanStats(&p.Stats) }
+			rec.addStats = func(m map[string]uint64) { addSpanStats(m, &p.Stats) }
 		case scenario.GAF, scenario.AODV:
 			opt := gaf.DefaultOptions()
 			if cfg.GAFOptions != nil {
@@ -233,7 +230,7 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 			p.OnDeliver = deliver
 			h.SetProtocol(p)
 			rec.snd.cur = p
-			rec.statsFn = func() map[string]uint64 { return gafStats(&p.Stats) }
+			rec.addStats = func(m map[string]uint64) { addGAFStats(m, &p.Stats) }
 		}
 	}
 
@@ -505,7 +502,7 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 		Radio:         channel.Counters(),
 		PerKind:       channel.PerKind(),
 		FrameLeaks:    frameLeaks,
-		Protocol:      make(map[string]uint64),
+		Protocol:      protoStats,
 
 		GatewayCrashes:        col.GatewayCrashes(),
 		Reelections:           len(col.ReelectionLatencies()),
@@ -525,70 +522,58 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 		res.Aen = append(res.Aen, struct{ T, V float64 }{p.T, p.V})
 	}
 	for _, r := range recs {
-		if r.statsFn == nil {
-			continue
-		}
-		for k, v := range r.statsFn() {
-			res.Protocol[k] += v
-		}
-		for k, v := range r.prev {
-			res.Protocol[k] += v
+		if r.addStats != nil {
+			r.addStats(protoStats)
 		}
 	}
 	return res, bus
 }
 
-func coreStats(s *core.Stats) map[string]uint64 {
-	return map[string]uint64{
-		"hellos":      s.HellosSent,
-		"rreqs":       s.RREQsSent,
-		"rreps":       s.RREPsSent,
-		"rerrs":       s.RERRsSent,
-		"retires":     s.RetiresSent,
-		"transfers":   s.TransfersSent,
-		"acqs":        s.ACQsSent,
-		"leaves":      s.LeavesSent,
-		"fwd":         s.DataForwarded,
-		"delivered":   s.DataDelivered,
-		"dropped":     s.DataDropped,
-		"d_misdirect": s.DropMisdirect,
-		"d_noroute":   s.DropNoRoute,
-		"d_discovery": s.DropDiscovery,
-		"d_unreach":   s.DropUnreach,
-		"d_expired":   s.DropExpired,
-		"pages":       s.PagesSent,
-		"gridpages":   s.GridPagesSent,
-		"elections":   s.ElectionsRun,
-		"gateways":    s.BecameGateway,
-		"nogateway":   s.NoGatewayEvnts,
-		"sleeps":      s.SleepsEntered,
-	}
+func addCoreStats(m map[string]uint64, s *core.Stats) {
+	m["hellos"] += s.HellosSent
+	m["rreqs"] += s.RREQsSent
+	m["rreps"] += s.RREPsSent
+	m["rerrs"] += s.RERRsSent
+	m["retires"] += s.RetiresSent
+	m["transfers"] += s.TransfersSent
+	m["acqs"] += s.ACQsSent
+	m["leaves"] += s.LeavesSent
+	m["fwd"] += s.DataForwarded
+	m["delivered"] += s.DataDelivered
+	m["dropped"] += s.DataDropped
+	m["d_misdirect"] += s.DropMisdirect
+	m["d_noroute"] += s.DropNoRoute
+	m["d_discovery"] += s.DropDiscovery
+	m["d_unreach"] += s.DropUnreach
+	m["d_expired"] += s.DropExpired
+	m["pages"] += s.PagesSent
+	m["gridpages"] += s.GridPagesSent
+	m["elections"] += s.ElectionsRun
+	m["gateways"] += s.BecameGateway
+	m["nogateway"] += s.NoGatewayEvnts
+	m["sleeps"] += s.SleepsEntered
 }
 
-func spanStats(s *span.Stats) map[string]uint64 {
-	return map[string]uint64{
-		"hellos":      s.HellosSent,
-		"coords":      s.CoordAnnounces,
-		"withdrawals": s.Withdrawals,
-		"rreqs":       s.RREQsSent,
-		"rreps":       s.RREPsSent,
-		"fwd":         s.DataForwarded,
-		"delivered":   s.DataDelivered,
-		"dropped":     s.DataDropped,
-		"sleeps":      s.SleepsEntered,
-	}
+func addSpanStats(m map[string]uint64, s *span.Stats) {
+	m["hellos"] += s.HellosSent
+	m["coords"] += s.CoordAnnounces
+	m["withdrawals"] += s.Withdrawals
+	m["rreqs"] += s.RREQsSent
+	m["rreps"] += s.RREPsSent
+	m["fwd"] += s.DataForwarded
+	m["delivered"] += s.DataDelivered
+	m["dropped"] += s.DataDropped
+	m["sleeps"] += s.SleepsEntered
 }
 
-func gafStats(s *gaf.Stats) map[string]uint64 {
-	return map[string]uint64{
-		"discoveries": s.DiscoveriesSent,
-		"rreqs":       s.RREQsSent,
-		"rreps":       s.RREPsSent,
-		"rerrs":       s.RERRsSent,
-		"fwd":         s.DataForwarded,
-		"delivered":   s.DataDelivered,
-		"dropped":     s.DataDropped,
-		"sleeps":      s.SleepsEntered,
-		"actives":     s.ActivePeriods,
-	}
+func addGAFStats(m map[string]uint64, s *gaf.Stats) {
+	m["discoveries"] += s.DiscoveriesSent
+	m["rreqs"] += s.RREQsSent
+	m["rreps"] += s.RREPsSent
+	m["rerrs"] += s.RERRsSent
+	m["fwd"] += s.DataForwarded
+	m["delivered"] += s.DataDelivered
+	m["dropped"] += s.DataDropped
+	m["sleeps"] += s.SleepsEntered
+	m["actives"] += s.ActivePeriods
 }

@@ -207,6 +207,19 @@ func (c Config) Validate() error {
 		!finite(c.Radio.PropDelay) || !finite(c.Radio.SlotTime) || !finite(c.Radio.DIFS) {
 		return errors.New("scenario: negative or non-finite radio propagation delay, slot time or DIFS")
 	}
+	// An override replaces the protocol's defaults wholesale, so a
+	// partial one zeroes every other tunable. runner.Run reads only the
+	// override of the chosen protocol, so only that one is checked.
+	if (c.Protocol == ECGRID || c.Protocol == GRID) && c.ECGRIDOptions != nil {
+		if err := c.ECGRIDOptions.Validate(); err != nil {
+			return fmt.Errorf("scenario: ECGRIDOptions: %w", err)
+		}
+	}
+	if (c.Protocol == GAF || c.Protocol == AODV) && c.GAFOptions != nil {
+		if err := c.GAFOptions.Validate(); err != nil {
+			return fmt.Errorf("scenario: GAFOptions: %w", err)
+		}
+	}
 	if c.Faults != nil {
 		total := c.Hosts
 		if c.Protocol == GAF {

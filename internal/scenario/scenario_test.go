@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"ecgrid/internal/core"
+	"ecgrid/internal/protocols/gaf"
 	"ecgrid/internal/scengen"
 )
 
@@ -98,6 +100,51 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted it", name)
+		}
+	}
+}
+
+// TestValidateProtocolOverrides: an override the chosen protocol reads
+// is validated as a whole (a partial one zeroes the rest), and the
+// error names the field; an override the protocol ignores is not.
+func TestValidateProtocolOverrides(t *testing.T) {
+	with := func(p ProtocolKind, e *core.Options, g *gaf.Options) Config {
+		c := Default(p)
+		c.ECGRIDOptions, c.GAFOptions = e, g
+		return c
+	}
+	ecg, noHello := core.DefaultOptions(), core.DefaultOptions()
+	noHello.HelloPeriod = 0
+	gafOpt, noTd := gaf.DefaultOptions(), gaf.DefaultOptions()
+	noTd.Td = 0
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" means valid; else a substring of the error
+	}{
+		{"ecgrid defaults", with(ECGRID, &ecg, nil), ""},
+		{"grid defaults", with(GRID, &ecg, nil), ""},
+		{"ecgrid empty", with(ECGRID, &core.Options{}, nil), "ECGRIDOptions"},
+		{"ecgrid zero hello", with(ECGRID, &noHello, nil), "HelloPeriod"},
+		{"grid zero hello", with(GRID, &noHello, nil), "ECGRIDOptions"},
+		{"gaf defaults", with(GAF, nil, &gafOpt), ""},
+		{"aodv defaults", with(AODV, nil, &gafOpt), ""},
+		{"gaf empty", with(GAF, nil, &gaf.Options{}), "GAFOptions"},
+		{"gaf zero Td", with(GAF, nil, &noTd), "Td"},
+		{"aodv zero Td", with(AODV, nil, &noTd), "GAFOptions"},
+		// runner.Run reads only the chosen protocol's override.
+		{"gaf ignores ECGRIDOptions", with(GAF, &core.Options{}, nil), ""},
+		{"ecgrid ignores GAFOptions", with(ECGRID, nil, &gaf.Options{}), ""},
+		{"span ignores both", with(SPAN, &core.Options{}, &gaf.Options{}), ""},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -44,8 +45,9 @@ import (
 	"ecgrid/internal/store"
 )
 
-// RunFunc executes one simulation. The default implementation routes
-// through a store-backed batch.Executor; tests substitute their own.
+// RunFunc executes one simulation. The server stores a successful
+// result itself; a RunFunc need not. The default is batch.RunOnce
+// (panic-isolated, ignores ctx); tests substitute their own.
 type RunFunc func(ctx context.Context, tag string, cfg scenario.Config) (*runner.Results, error)
 
 // Config assembles a Server.
@@ -53,7 +55,7 @@ type Config struct {
 	// Store is the persistent result store. Required.
 	Store *store.Store
 	// Workers caps concurrently executing simulations; <= 0 uses
-	// GOMAXPROCS (via batch.Options).
+	// GOMAXPROCS.
 	Workers int
 	// QueueDepth caps distinct in-flight jobs (queued + running);
 	// <= 0 uses 64. Admission beyond it answers 429.
@@ -67,14 +69,14 @@ type Config struct {
 	MaxHosts int
 	// RunTimeout bounds one job from admission to completion; <= 0
 	// leaves jobs unbounded. A simulation cannot be preempted
-	// mid-event-loop, so the timeout takes effect at the executor's
-	// wait points (see batch.Executor.RunCtx).
+	// mid-event-loop, so the timeout only fails a job still waiting for
+	// a worker slot; a run that has started completes and is stored.
 	RunTimeout time.Duration
 	// MaxWait caps how long a blocking request may hold its connection
 	// before being converted to 202 + poll URL; <= 0 uses 120 s.
 	MaxWait time.Duration
-	// Run overrides the execution function (tests). nil uses the
-	// store-backed batch.Executor.
+	// Run overrides the execution function (tests). nil uses
+	// batch.RunOnce.
 	Run RunFunc
 }
 
@@ -133,8 +135,11 @@ func New(cfg Config) (*Server, error) {
 	if maxWait <= 0 {
 		maxWait = 120 * time.Second
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	baseCtx, cancel := context.WithCancel(context.Background())
-	workers := batch.Options{Workers: cfg.Workers}.WorkerCount()
 	s := &Server{
 		cfg:       cfg,
 		store:     cfg.Store,
@@ -149,8 +154,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.run = cfg.Run
 	if s.run == nil {
-		exec := batch.NewExecutor(baseCtx, batch.Options{Workers: cfg.Workers, Store: cfg.Store})
-		s.run = exec.RunCtx
+		s.run = runOnce
 	}
 	s.met = newMetricsSet(
 		func() int {
@@ -471,29 +475,26 @@ func (s *Server) runJob(j *job) {
 	defer s.met.running.Add(-1)
 
 	res, err := s.run(ctx, j.tag, j.cfg)
+	if err == nil {
+		err = s.store.Put(j.key, res)
+	}
 	if err != nil {
 		j.err = err
 		return
 	}
-	// The default RunFunc (store-backed executor) has already stored the
-	// result; read back the canonical bytes so hit and miss responses
-	// are byte-identical. A substituted RunFunc may not have stored —
-	// put on its behalf.
+	// Serve the stored canonical bytes, so hit and miss responses are
+	// byte-identical.
 	b, ok, err := s.store.GetBytes(j.key)
 	if err == nil && !ok {
-		if err = s.store.Put(j.key, res); err == nil {
-			b, ok, err = s.store.GetBytes(j.key)
-		}
+		err = fmt.Errorf("result for %s vanished from the store", j.key)
 	}
-	if err != nil {
-		j.err = err
-		return
-	}
-	if !ok {
-		j.err = fmt.Errorf("result for %s vanished from the store", j.key)
-		return
-	}
-	j.bytes = b
+	j.bytes, j.err = b, err
+}
+
+// runOnce is the default RunFunc. A running simulation cannot be
+// preempted, so it ignores ctx.
+func runOnce(_ context.Context, _ string, cfg scenario.Config) (*runner.Results, error) {
+	return batch.RunOnce(cfg)
 }
 
 // writeResult sends stored canonical result bytes.

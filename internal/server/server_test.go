@@ -191,6 +191,38 @@ func TestRunValidationSurface(t *testing.T) {
 	}
 }
 
+// TestProtocolOverrideRejected: a protocol override that would panic in
+// the protocol's constructor is a 400 naming the field, from both
+// /v1/run and /v1/generate, and nothing is admitted or stored.
+func TestProtocolOverrideRejected(t *testing.T) {
+	ts, srv, st := newTestServer(t, nil)
+	for _, tc := range []struct{ base, body, field string }{
+		{"ecgrid", `{"ECGRIDOptions":{}}`, "ECGRIDOptions"},
+		{"ecgrid", `{"ECGRIDOptions":{"HelloPeriod":0}}`, "ECGRIDOptions"},
+		{"grid", `{"ECGRIDOptions":{}}`, "ECGRIDOptions"},
+		{"gaf", `{"GAFOptions":{}}`, "GAFOptions"},
+		{"aodv", `{"GAFOptions":{}}`, "GAFOptions"},
+	} {
+		for _, ep := range []string{"/v1/run", "/v1/generate"} {
+			resp, err := http.Post(ts.URL+ep+"?base="+tc.base, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := string(readAll(t, resp))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, tc.field) {
+				t.Errorf("%s %s on %s → %d (%s), want 400 naming %s",
+					ep, tc.body, tc.base, resp.StatusCode, body, tc.field)
+			}
+		}
+	}
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Fatalf("store Len = %d, %v; want 0", n, err)
+	}
+	if got := srv.met.misses.Value(); got != 0 {
+		t.Fatalf("misses = %d, want 0 (nothing admitted)", got)
+	}
+}
+
 func TestMaxHostsGuardrail(t *testing.T) {
 	ts, _, _ := newTestServer(t, func(c *Config) { c.MaxHosts = 10 })
 	resp := postRun(t, ts, smallCfg(1), "") // 8 hosts: allowed

@@ -26,11 +26,12 @@ import (
 //  2. a "restarted" daemon (fresh Server and Store over the same
 //     directory) serves the same key from disk without recomputing.
 //
-// The run function is the real store-backed batch.Executor wrapped in
-// an execution counter plus a gate: the gate holds the single execution
-// open until the server's own metrics confirm the other N−1 requests
-// have coalesced onto it, making the "all N arrived before completion"
-// premise deterministic instead of timing-dependent.
+// The run function is the default batch.RunOnce wrapped in an
+// execution counter plus a gate, with no deduplication of its own, so
+// the single execution is the server's singleflight alone. The gate
+// holds that execution open until the server's own metrics confirm the
+// other N−1 requests have coalesced onto it, making the "all N arrived
+// before completion" premise deterministic instead of timing-dependent.
 func TestSingleflightAndRestart(t *testing.T) {
 	const n = 8
 	dir := t.TempDir()
@@ -48,11 +49,10 @@ func TestSingleflightAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := batch.NewExecutor(context.Background(), batch.Options{Workers: 2, Store: st})
 	counted := func(ctx context.Context, tag string, c scenario.Config) (*runner.Results, error) {
 		executions.Add(1)
 		<-gate
-		return exec.RunCtx(ctx, tag, c)
+		return batch.RunOnce(c)
 	}
 	srv, err := New(Config{Store: st, Workers: 2, QueueDepth: 8, Run: counted})
 	if err != nil {
@@ -127,10 +127,9 @@ func TestSingleflightAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec2 := batch.NewExecutor(context.Background(), batch.Options{Workers: 2, Store: st2})
 	counted2 := func(ctx context.Context, tag string, c scenario.Config) (*runner.Results, error) {
 		executions2.Add(1)
-		return exec2.RunCtx(ctx, tag, c)
+		return batch.RunOnce(c)
 	}
 	srv2, err := New(Config{Store: st2, Workers: 2, QueueDepth: 8, Run: counted2})
 	if err != nil {
