@@ -51,8 +51,6 @@ func main() {
 		storeDir  = flag.String("store", "", "content-addressed result store directory shared with simd; cached runs are skipped")
 		scenRef   = flag.String("scenario", "",
 			"base every run on a generated scenario: a JSON file path or a scenarios/<name> library entry")
-		noRxCache = flag.Bool("norxcache", false,
-			"disable the receiver-plane cache in every run (uncached reference scan; byte-identical results, so a warm -store answers from its entries)")
 		faultArg = flag.String("faults", "",
 			"inject a fault plan into every run: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -133,9 +131,6 @@ func main() {
 			default:
 				fmt.Fprintf(os.Stderr, "unknown param %q\n", *param)
 				os.Exit(2)
-			}
-			if *noRxCache {
-				cfg.Radio.NoRxCache = true
 			}
 			if *faultArg != "" {
 				// Resolved per job: presets scale with the job's host

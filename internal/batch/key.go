@@ -14,10 +14,9 @@ import (
 // results — the property the result store relies on. The encoding is
 // canonical because Config is a plain struct (fields encode in
 // declaration order, no maps) and its runtime-only fields — the Trace
-// recorder and the execution settings Radio.BruteForce and
-// Radio.NoRxCache — are excluded from serialization. The key names the
-// model, not how it is executed: a cached and an uncached run of one
-// config share it.
+// recorder and the execution setting Radio.BruteForce — are excluded
+// from serialization. The key names the model, not how it is executed:
+// an indexed and a brute-force run of one config share it.
 func Key(cfg scenario.Config) string {
 	b, err := json.Marshal(cfg)
 	if err != nil {

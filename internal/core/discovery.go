@@ -56,6 +56,9 @@ func (p *Protocol) startDiscovery(dst hostid.ID) {
 	}
 	d := &discoveryState{dst: dst}
 	d.timer = sim.NewTimer(p.host.Engine(), func() { p.discoveryTimeout(d) })
+	if p.discovery == nil {
+		p.discovery = make(map[hostid.ID]*discoveryState)
+	}
 	p.discovery[dst] = d
 	p.sendRREQ(d)
 }
@@ -205,10 +208,16 @@ func (p *Protocol) handleRREQ(m *routing.RREQ) {
 	// its Awake answer can still be served.
 	if m.Page && p.opt.UseRAS {
 		if now-p.lastPage[m.Dst] > 1.0 {
+			if p.lastPage == nil {
+				p.lastPage = make(map[hostid.ID]float64)
+			}
 			p.lastPage[m.Dst] = now
 			p.Stats.PagesSent++
 			p.host.Page(m.Dst)
 		}
+	}
+	if p.pendingReq == nil {
+		p.pendingReq = make(map[hostid.ID]pendingRREQ)
 	}
 	p.pendingReq[m.Dst] = pendingRREQ{req: *m, at: now}
 	// Rebroadcast with ourselves as the previous grid.

@@ -91,6 +91,9 @@ func (p *Protocol) routeData(m *routing.Data) {
 		// successor announces: hold the packet briefly and retry
 		// rather than tearing the route down.
 		if p.holds[pkt.Dst] < p.opt.HoldRetries {
+			if p.holds == nil {
+				p.holds = make(map[hostid.ID]int)
+			}
 			p.holds[pkt.Dst]++
 			p.buffer.Push(pkt.Dst, pkt)
 			dst := pkt.Dst

@@ -111,18 +111,13 @@ func New(h *node.Host, opt Options) *Protocol {
 		panic(err)
 	}
 	p := &Protocol{
-		host:       h,
-		opt:        opt,
-		gatewayID:  hostid.None,
-		heard:      make(map[hostid.ID]*helloInfo),
-		hosts:      routing.NewHostTableTTL(opt.MemberActiveTTL, opt.MemberSleepTTL),
-		table:      routing.NewTable(opt.RouteTTL),
-		buffer:     routing.NewBuffer(opt.BufferPerDest),
-		dup:        routing.NewDupCache(opt.DupTTL),
-		discovery:  make(map[hostid.ID]*discoveryState),
-		holds:      make(map[hostid.ID]int),
-		pendingReq: make(map[hostid.ID]pendingRREQ),
-		lastPage:   make(map[hostid.ID]float64),
+		host:      h,
+		opt:       opt,
+		gatewayID: hostid.None,
+		hosts:     routing.NewHostTableTTL(opt.MemberActiveTTL, opt.MemberSleepTTL),
+		table:     routing.NewTable(opt.RouteTTL),
+		buffer:    routing.NewBuffer(opt.BufferPerDest),
+		dup:       routing.NewDupCache(opt.DupTTL),
 	}
 	p.electionTimer = sim.NewTimer(h.Engine(), p.finishElection)
 	p.gwWaitTimer = sim.NewTimer(h.Engine(), p.gwWaitExpired)
@@ -363,6 +358,9 @@ func (p *Protocol) handleHello(m *routing.Hello) {
 	if hi := p.heard[m.ID]; hi != nil {
 		hi.level, hi.dist, hi.gflag, hi.at = energy.Level(m.Level), m.Dist, m.GFlag, now
 	} else {
+		if p.heard == nil {
+			p.heard = make(map[hostid.ID]*helloInfo)
+		}
 		p.heard[m.ID] = &helloInfo{id: m.ID, level: energy.Level(m.Level), dist: m.Dist, gflag: m.GFlag, at: now}
 	}
 
@@ -624,7 +622,7 @@ func (p *Protocol) enterGrid(cur grid.Coord) {
 	p.myGrid = cur
 	p.gatewayID = hostid.None
 	p.cancelElection()
-	p.heard = make(map[hostid.ID]*helloInfo)
+	clear(p.heard)
 	p.sendHello()
 	// If no gateway HELLO arrives within a HELLO period, the grid is
 	// empty: declare ourselves gateway.

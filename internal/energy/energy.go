@@ -135,12 +135,15 @@ func (m Model) Power(mode Mode) float64 {
 // A Battery with infinite capacity (IsInfinite) never depletes; GAF's
 // Model 1 uses these for its always-on endpoint hosts.
 type Battery struct {
-	model     Model
+	// power is Model.Power per mode, tabulated once at construction so
+	// an accrual is one indexed load.
+	power     [4]float64
 	full      float64 // initial charge in joules; +Inf for infinite hosts
 	remaining float64
 	mode      Mode
 	lastT     float64 // sim time of the last accrual
 	dead      bool
+	infinite  bool // full is +Inf
 
 	// consumedByMode records joules spent per mode, for diagnostics and
 	// the energy-breakdown metrics.
@@ -153,17 +156,26 @@ func NewBattery(model Model, fullJoules float64) *Battery {
 	if fullJoules <= 0 {
 		panic("energy: non-positive capacity")
 	}
-	return &Battery{model: model, full: fullJoules, remaining: fullJoules, mode: Idle}
+	return &Battery{power: powerTable(model), full: fullJoules, remaining: fullJoules, mode: Idle}
 }
 
 // NewInfiniteBattery returns a battery that never depletes, used for GAF
 // Model 1 endpoint hosts. Its R_brc stays 1.0 forever.
 func NewInfiniteBattery(model Model) *Battery {
-	return &Battery{model: model, full: math.Inf(1), remaining: math.Inf(1), mode: Idle}
+	return &Battery{power: powerTable(model), full: math.Inf(1), remaining: math.Inf(1), mode: Idle, infinite: true}
+}
+
+// powerTable returns model's draw in each mode, indexed by Mode.
+func powerTable(model Model) [4]float64 {
+	var t [4]float64
+	for m := range t {
+		t[m] = model.Power(Mode(m))
+	}
+	return t
 }
 
 // IsInfinite reports whether the battery never depletes.
-func (b *Battery) IsInfinite() bool { return math.IsInf(b.full, 1) }
+func (b *Battery) IsInfinite() bool { return b.infinite }
 
 // Mode returns the current mode.
 func (b *Battery) Mode() Mode { return b.mode }
@@ -178,8 +190,8 @@ func (b *Battery) accrue(now float64) {
 	if b.dead || dt <= 0 {
 		return
 	}
-	spent := b.model.Power(b.mode) * dt
-	if !b.IsInfinite() {
+	spent := b.power[b.mode] * dt
+	if !b.infinite {
 		if spent >= b.remaining {
 			spent = b.remaining
 		}
@@ -193,8 +205,12 @@ func (b *Battery) accrue(now float64) {
 }
 
 // SetMode switches the battery to the given mode at simulation time now,
-// charging the time spent in the previous mode first.
+// charging the time spent in the previous mode first. An unknown mode
+// panics.
 func (b *Battery) SetMode(now float64, mode Mode) {
+	if uint(mode) >= uint(len(b.power)) {
+		panic(fmt.Sprintf("energy: unknown mode %d", int(mode)))
+	}
 	b.accrue(now)
 	b.mode = mode
 }
@@ -205,7 +221,7 @@ func (b *Battery) SetMode(now float64, mode Mode) {
 // battery like any other exhaustion. Infinite batteries ignore it.
 func (b *Battery) Drain(now, joules float64) {
 	b.accrue(now)
-	if b.dead || b.IsInfinite() || joules <= 0 {
+	if b.dead || b.infinite || joules <= 0 {
 		return
 	}
 	if joules >= b.remaining {
@@ -246,7 +262,7 @@ func (b *Battery) ConsumedIn(now float64, mode Mode) float64 {
 // Rbrc returns the ratio of remaining to full capacity at time now.
 // Infinite batteries always report 1.0.
 func (b *Battery) Rbrc(now float64) float64 {
-	if b.IsInfinite() {
+	if b.infinite {
 		return 1.0
 	}
 	b.accrue(now)
@@ -268,11 +284,14 @@ func (b *Battery) Dead(now float64) bool {
 // TimeToEmpty returns how long the battery lasts from time now if it stays
 // in the given mode. Infinite batteries return +Inf.
 func (b *Battery) TimeToEmpty(now float64, mode Mode) float64 {
-	if b.IsInfinite() {
+	if b.infinite {
 		return math.Inf(1)
 	}
 	b.accrue(now)
-	return b.remaining / b.model.Power(mode)
+	if uint(mode) >= uint(len(b.power)) {
+		panic(fmt.Sprintf("energy: unknown mode %d", int(mode)))
+	}
+	return b.remaining / b.power[mode]
 }
 
 // Full returns the initial capacity in joules.

@@ -41,6 +41,30 @@ func TestPowerUnknownModePanics(t *testing.T) {
 	PaperModel().Power(Mode(99))
 }
 
+// TestBatteryUsesModelPower: the battery's per-mode draw is Model.Power
+// bit for bit, finite and infinite batteries alike, and SetMode rejects
+// a mode the model has no draw for.
+func TestBatteryUsesModelPower(t *testing.T) {
+	m := Model{TransmitW: 1.1, ReceiveW: 0.7, IdleW: 0.3, SleepW: 0.01, GPSW: 0.0007}
+	for _, b := range []*Battery{NewBattery(m, 1e6), NewInfiniteBattery(m)} {
+		for mode := Idle; mode <= Sleep; mode++ {
+			b.SetMode(float64(mode), mode)
+			before := b.ConsumedIn(float64(mode), mode)
+			if got, want := b.ConsumedIn(float64(mode)+1, mode)-before, m.Power(mode); got != want {
+				t.Errorf("infinite=%v: one second in %v consumed %v J, want Power = %v", b.IsInfinite(), mode, got, want)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("infinite=%v: SetMode(Mode(4)) did not panic", b.IsInfinite())
+				}
+			}()
+			b.SetMode(10, Mode(4))
+		}()
+	}
+}
+
 func TestClassifyRbrc(t *testing.T) {
 	cases := []struct {
 		r    float64

@@ -6,7 +6,7 @@ import "math"
 // own instantaneous speed for the entire run implement it. The bound
 // must cover legs not yet generated — every draw the model will ever
 // make, not just the history so far — because consumers (the radio
-// channel's receiver cache) use it to bound position drift between two
+// channel's receiver scan) use it to bound position drift between two
 // instants without materializing the path in between.
 type SpeedBound interface {
 	// MaxSpeedMS returns an upper bound, in meters per second, on the

@@ -67,6 +67,7 @@ type reception struct {
 
 // station is the channel-side state of an attached endpoint.
 type station struct {
+	id        hostid.ID
 	ep        Endpoint
 	bat       *energy.Battery // ep.Battery(), read once at Attach
 	listening bool
@@ -89,21 +90,6 @@ type station struct {
 	queue        sendQueue
 	accessing    bool // backoff event pending
 	cwSlots      int  // current contention window
-
-	// unidx marks a station on the channel's unindexed side list: its
-	// Attach and Detach invalidate caches via the channel-wide epoch
-	// instead of a cell epoch (see rxcache.go). Listen flips invalidate
-	// nothing; every scan reads listening live.
-	unidx bool
-	// rxc is the station's receiver-set cache entry (rxcache.go).
-	rxc rxCache
-	// Same-instant carrier-sense memo: busyVal answers busyAround for
-	// this station while the clock reads busyAt and no transmission has
-	// started or ended since (busyEpoch == Channel.txEpoch).
-	busyAt    float64
-	busyEpoch uint64
-	busyVal   bool
-	busySet   bool
 }
 
 // beginRx opens a reception at s with admission sequence seq. corrupted
@@ -184,15 +170,19 @@ type Channel struct {
 
 	// stations is the one station lookup: indexed by host ID, nil where
 	// no host is attached. Walking its non-nil slots is ascending-ID
-	// iteration. awake mirrors listening && !detached per ID, so a cache
-	// replay can skip a sleeping candidate without loading its station;
-	// only Attach, Detach and SetListening write it. idMark and idSlot
-	// run beside it for markID/sweepIDs: one bit per ID, all clear
-	// between sweeps, and the candidate index recorded with each marked
-	// ID. idLo..idHi bounds the marked words (idLo > idHi when nothing
-	// is marked).
+	// iteration. awake mirrors listening && !detached per ID, so the
+	// receiver scan can skip a sleeping candidate without loading its
+	// station; only Attach, Detach and SetListening write it. snap holds
+	// each host's position snapshot (scan.go), written by readPos and
+	// invalidated by Attach; vmax is the loosest speed bound over all
+	// hosts ever attached. idMark and idSlot run beside them for
+	// markID/sweepIDs: one bit per ID, all clear between sweeps, and the
+	// candidate index recorded with each marked ID. idLo..idHi bounds
+	// the marked words (idLo > idHi when nothing is marked).
 	stations   []*station
 	awake      []bool
+	snap       []posSnap
+	vmax       float64
 	idMark     []uint64
 	idSlot     []int32
 	idLo, idHi int
@@ -212,25 +202,13 @@ type Channel struct {
 	// recycles reception buffers: nothing points into one, so any pooled
 	// buffer serves any transmission and the pool never holds more than
 	// the peak number in flight. rxSeq numbers admissions channel-wide
-	// (reception.seq).
-	cand   []spatial.Candidate[*station]
-	cpos   []geom.Point
-	byID   []int32
-	rxFree [][]reception
-	rxSeq  uint64
-	// Receiver-set cache state (rxcache.go). rxCacheOn gates the whole
-	// plane: it requires the spatial index and is switched off by
-	// cfg.NoRxCache, the live reference path. cover is the per-scan
-	// cover-digest scratch; chEpoch guards everything cell epochs cannot
-	// see (unindexed stations, vmax increases); txEpoch versions the
-	// carrier-sense set for the busyAround memo; vmax is the loosest
-	// speed bound over all hosts ever attached.
-	rxCacheOn bool
-	cover     []spatial.CellEpoch
-	chEpoch   uint64
-	txEpoch   uint64
-	vmax      float64
-	rxStats   RxCacheStats
+	// (reception.seq). rxStats is the scans' telemetry.
+	cand    []spatial.Candidate[*station]
+	cpos    []geom.Point
+	byID    []int32
+	rxFree  [][]reception
+	rxSeq   uint64
+	rxStats RxCacheStats
 	// txFree and frameFree recycle transmission and pooled-Frame structs
 	// the same way rxFree recycles reception buffers: everything leaves
 	// the live structures before the struct returns to its pool.
@@ -283,7 +261,6 @@ func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
 		side := cfg.Range / 2
 		c.index = spatial.NewIndex[*station](engine, side, cfg.Range/8)
 		c.txIdx = spatial.NewPointSet(side)
-		c.rxCacheOn = !cfg.NoRxCache
 	}
 	return c
 }
@@ -316,6 +293,7 @@ func (c *Channel) Attach(ep Endpoint) {
 		panic(fmt.Sprintf("radio: duplicate attach of %v", id))
 	}
 	st := &station{
+		id:        id,
 		ep:        ep,
 		bat:       ep.Battery(),
 		listening: true,
@@ -326,6 +304,7 @@ func (c *Channel) Attach(ep Endpoint) {
 		// slices.Grow appends, so the tables grow geometrically.
 		c.stations = slices.Grow(c.stations, n-len(c.stations))[:n]
 		c.awake = slices.Grow(c.awake, n-len(c.awake))[:n]
+		c.snap = slices.Grow(c.snap, n-len(c.snap))[:n]
 		c.idSlot = slices.Grow(c.idSlot, n-len(c.idSlot))[:n]
 		if w := (n + 63) >> 6; w > len(c.idMark) {
 			c.idMark = slices.Grow(c.idMark, w-len(c.idMark))[:w]
@@ -333,20 +312,16 @@ func (c *Channel) Attach(ep Endpoint) {
 	}
 	c.stations[id] = st
 	c.awake[id] = true
+	// A re-attached ID may be a different endpoint: forget the old
+	// snapshot (a NaN instant makes every drift bound NaN).
+	c.snap[id] = posSnap{t: math.NaN()}
 	if c.index != nil {
+		c.noteSpeedBound(ep)
 		if mv, ok := ep.(Mover); ok {
-			// Insert bumps the cell's epoch, so covers over the arrival
-			// cell miss and re-scan.
-			c.index.Insert(id, st, ep.Position, mv.NextExit)
+			// The index's position reads refresh the snapshot too.
+			c.index.Insert(id, st, func() geom.Point { return c.readPos(st) }, mv.NextExit)
 		} else {
-			st.unidx = true
 			c.unindexed = append(c.unindexed, id)
-			if c.rxCacheOn {
-				c.chEpoch++ // a new brute-force candidate: no cell to bump
-			}
-		}
-		if c.rxCacheOn {
-			c.noteSpeedBound(ep)
 		}
 	}
 }
@@ -406,9 +381,6 @@ func (c *Channel) Detach(id hostid.ID) {
 		return
 	}
 	st.detached = true
-	if c.rxCacheOn && st.unidx {
-		c.chEpoch++ // indexed stations bump their cell via Remove below
-	}
 	for !st.queue.empty() {
 		c.ReleaseFrame(st.queue.popFront().frame)
 	}
@@ -508,28 +480,6 @@ func (c *Channel) busyAround(p geom.Point) bool {
 	return false
 }
 
-// stationBusy is busyAround with a per-station same-instant memo:
-// back-to-back probes at one station within a single event instant — a
-// queue drain fanning out several maybeAccess cycles — rescan the tx
-// index only when a transmission started or ended in between (txEpoch).
-// The memo is part of the cached plane; the NoRxCache reference path
-// probes the index every time.
-func (c *Channel) stationBusy(st *station, pos geom.Point) bool {
-	if !c.rxCacheOn {
-		return c.busyAround(pos)
-	}
-	now := c.engine.Now()
-	if st.busySet && st.busyAt == now && st.busyEpoch == c.txEpoch {
-		c.rxStats.BusyHits++
-		return st.busyVal
-	}
-	st.busySet = true
-	st.busyAt = now
-	st.busyEpoch = c.txEpoch
-	st.busyVal = c.busyAround(pos)
-	return st.busyVal
-}
-
 // tryTransmit fires after backoff: sense the medium and either transmit
 // or defer with a doubled window.
 func (c *Channel) tryTransmit(st *station) {
@@ -537,8 +487,8 @@ func (c *Channel) tryTransmit(st *station) {
 	if st.detached || !st.listening || st.queue.empty() || st.transmitting != nil {
 		return
 	}
-	pos := st.ep.Position()
-	if c.stationBusy(st, pos) || st.rxN > 0 {
+	pos := c.readPos(st)
+	if c.busyAround(pos) || st.rxN > 0 {
 		// Medium busy: defer, exponentially widening the window.
 		c.counters.DeferredAccess++
 		st.cwSlots = min(st.cwSlots*2, c.cfg.MaxBackoffSlots)
@@ -584,7 +534,6 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	if c.txIdx != nil {
 		c.txIdx.Add(tx.seq, pos)
 	}
-	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	tx.live = len(c.liveTx)
 	c.liveTx = append(c.liveTx, tx)
 	c.counters.FramesSent++
@@ -599,59 +548,21 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	c.updateMode(st)
 
 	// Establish receptions at every listening host in range, in ID
-	// order so runs are reproducible. The spatial index yields a sorted
-	// superset of the in-range hosts; the exact distance check below is
-	// the same one the brute-force path applies to the whole population,
-	// so both paths admit the identical receiver set in identical order.
-	r2 := c.cfg.Range * c.cfg.Range
-	if c.rxCacheOn {
-		// Receiver-plane cache: replay the cached admit loop, or run the
-		// padded reference scan and refill (rxcache.go). Byte-identical
-		// to both branches below by the §16 invalidation argument.
-		c.cachedReceivers(tx, st, pos, r2)
-	} else if c.index != nil {
-		c.gather(pos, c.cfg.Range)
-		c.rxStats.Candidates += uint64(len(c.cand))
-		// Filter first, order second: the range and listening checks are
-		// order-free (Position is pure per instant), so applying them
-		// before imposing ID order shrinks the sweep to the hosts that
-		// actually receive — in a duty-cycled protocol, a small fraction
-		// of the candidates.
-		if cap(c.cpos) < len(c.cand) {
-			c.cpos = make([]geom.Point, len(c.cand))
-		}
-		c.cpos = c.cpos[:len(c.cand)]
-		for i := range c.cand {
-			cd := &c.cand[i]
-			other := cd.Payload
-			if other == st || !other.listening || other.detached {
-				continue
-			}
-			// A Sure candidate's whole cell is inside the range disc, so
-			// the distance check is settled; its position is only needed
-			// when an Interceptor wants the receiver coordinates.
-			if !cd.Sure || c.Interceptor != nil {
-				otherPos := other.ep.Position()
-				if pos.Dist2(otherPos) > r2 {
-					continue
-				}
-				c.cpos[i] = otherPos
-			}
-			c.markID(cd.ID, i)
-		}
-		c.byID = c.sweepIDs(c.byID[:0])
-		tx.rx = c.rxBuf()
-		for _, i := range c.byID {
-			c.admitReception(tx, c.cand[i].Payload, pos, c.cpos[i])
-		}
+	// order so runs are reproducible. The indexed scan admits exactly the
+	// receivers, in exactly the order, of the brute-force reference
+	// below, which reads every awake station's position.
+	tx.rx = c.rxBuf()
+	if c.index != nil {
+		c.indexedReceivers(tx, st, pos)
 	} else {
-		tx.rx = c.rxBuf()
+		r2 := c.cfg.Range * c.cfg.Range
 		c.rxStats.Candidates += uint64(len(c.stations))
 		for _, other := range c.stations {
 			if other == nil || other == st || !other.listening {
 				continue
 			}
-			otherPos := other.ep.Position()
+			c.rxStats.LiveReads++
+			otherPos := c.readPos(other)
 			if pos.Dist2(otherPos) > r2 {
 				continue
 			}
@@ -702,7 +613,6 @@ func (c *Channel) endTransmission(tx *transmission) {
 	if c.txIdx != nil {
 		c.txIdx.Remove(tx.seq, tx.from)
 	}
-	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	last := len(c.liveTx) - 1
 	c.liveTx[tx.live] = c.liveTx[last]
 	c.liveTx[tx.live].live = tx.live
@@ -723,8 +633,8 @@ func (c *Channel) endTransmission(tx *transmission) {
 			if corrupted {
 				continue
 			}
-			if tx.frame.Dst == hostid.Broadcast || tx.frame.Dst == rx.st.ep.ID() {
-				if tx.frame.Dst == rx.st.ep.ID() {
+			if tx.frame.Dst == hostid.Broadcast || tx.frame.Dst == rx.st.id {
+				if tx.frame.Dst == rx.st.id {
 					dstOK = true
 				}
 				c.counters.Deliveries++
@@ -845,7 +755,7 @@ func (c *Channel) InRange(a, b hostid.ID) bool {
 	if sa == nil || sb == nil {
 		return false
 	}
-	return sa.ep.Position().Dist2(sb.ep.Position()) <= c.cfg.Range*c.cfg.Range
+	return c.readPos(sa).Dist2(c.readPos(sb)) <= c.cfg.Range*c.cfg.Range
 }
 
 // NearIDs appends to dst every attached station that may lie within r

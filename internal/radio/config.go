@@ -39,12 +39,11 @@ type Config struct {
 	// parameter: it is never serialized, so it stays out of batch keys
 	// and out of the HTTP API.
 	BruteForce bool `json:"-"`
-	// NoRxCache disables the receiver-plane cache (rxcache.go) and runs
-	// every transmission through the uncached scan, as the live
-	// reference oracle for the cache's byte-identity — the same role
-	// BruteForce plays for the spatial index. BruteForce implies it (the
-	// cache needs the index). Runtime-only like BruteForce: a cached and
-	// an uncached run of one model share one batch key.
+	// NoRxCache is ignored: the receiver-set cache it switched off is
+	// gone, and every run uses the one indexed receiver scan.
+	//
+	// Deprecated: kept so the bench module, which still sets it,
+	// compiles. The next change to bench/ removes it.
 	NoRxCache bool `json:"-"`
 }
 

@@ -3,7 +3,6 @@ package radio
 import (
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"ecgrid/internal/hostid"
 	"ecgrid/internal/sim"
@@ -20,7 +19,7 @@ func TestReceptionPoolBounded(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			mode.cfg(&cfg)
-			r := newCacheRig(cfg)
+			r := newPacerRig(cfg)
 			rng := sim.NewRNG(7)
 			const n = 400
 			for i := range n {
@@ -48,18 +47,6 @@ func TestReceptionPoolBounded(t *testing.T) {
 				t.Fatalf("channel holds %d reception buffers, peak in flight was %d", held, peak)
 			}
 		})
-	}
-}
-
-// TestRxCandPointerFree is a memory gate on receiver-cache entries: a
-// dense population caches hundreds of candidates per station, so each
-// must stay at 16 bytes with no pointer for the GC to scan.
-func TestRxCandPointerFree(t *testing.T) {
-	if sz := unsafe.Sizeof(rxCand{}); sz > 16 {
-		t.Errorf("rxCand is %d bytes, want at most 16", sz)
-	}
-	if typ := reflect.TypeFor[rxCand](); hasPointers(typ) {
-		t.Errorf("%v holds a pointer", typ)
 	}
 }
 

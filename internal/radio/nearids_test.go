@@ -18,7 +18,7 @@ func TestNearIDs(t *testing.T) {
 	for _, brute := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.BruteForce = brute
-		r := newCacheRig(cfg)
+		r := newPacerRig(cfg)
 		const n = 120
 		for i := 0; i < n; i++ {
 			r.addPacer(hostid.ID(i), float64((i*733)%2000), float64((i*389)%2000),

@@ -32,22 +32,31 @@ type orderStub struct {
 
 func (h *orderStub) Deliver(*Frame) { *h.log = append(*h.log, h.id) }
 
-// orderHost describes one station of an ordering scenario.
+// orderHost describes one station of an ordering scenario: at (x, y) at
+// time 0, moving at (vx, vy) unless it is a stub.
 type orderHost struct {
 	id     hostid.ID
 	x, y   float64
+	vx, vy float64
 	asleep bool
-	stub   bool // attach without Mover
+	stub   bool // attach without Mover (and without a speed bound)
 }
 
-// scanModes are the three receiver-scan paths, by name.
+// pos is h's position at time t, computed exactly as its endpoint does.
+func (h orderHost) pos(t float64) geom.Point {
+	if h.stub {
+		return geom.Point{X: h.x, Y: h.y}
+	}
+	return (&pacer{x0: h.x, y0: h.y, vx: h.vx, vy: h.vy}).at(t)
+}
+
+// scanModes are the two receiver-scan paths, by name.
 var scanModes = []struct {
 	name string
 	cfg  func(*Config)
 }{
 	{"brute", func(c *Config) { c.BruteForce = true }},
-	{"norxcache", func(c *Config) { c.NoRxCache = true }},
-	{"cached", func(*Config) {}},
+	{"indexed", func(*Config) {}},
 }
 
 type orderRig struct {
@@ -68,7 +77,7 @@ func (r *orderRig) attach(h orderHost) {
 	if h.stub {
 		r.channel.Attach(&orderStub{fakeHost: fakeHost{id: h.id, pos: geom.Point{X: h.x, Y: h.y}, battery: bat}, log: &r.log})
 	} else {
-		r.channel.Attach(&orderMover{pacer: pacer{id: h.id, engine: r.engine, battery: bat, x0: h.x, y0: h.y}, log: &r.log})
+		r.channel.Attach(&orderMover{pacer: pacer{id: h.id, engine: r.engine, battery: bat, x0: h.x, y0: h.y, vx: h.vx, vy: h.vy}, log: &r.log})
 	}
 	if h.asleep {
 		r.channel.SetListening(h.id, false)
@@ -76,28 +85,32 @@ func (r *orderRig) attach(h orderHost) {
 }
 
 // broadcast sends one broadcast from src at time at and runs the engine
-// past its end; it returns the IDs that received it, in delivery order.
-func (r *orderRig) broadcast(src hostid.ID, at float64) []hostid.ID {
+// past its end; it returns the IDs that received it, in delivery order,
+// and the instant the frame went on air (after carrier sense and
+// backoff).
+func (r *orderRig) broadcast(src hostid.ID, at float64) ([]hostid.ID, float64) {
 	r.log = r.log[:0]
+	var onAir float64
+	r.channel.Sniffer = func(_ *Frame, t float64) { onAir = t }
 	r.engine.Schedule(at-r.engine.Now(), func() {
 		r.channel.Send(src, &Frame{Kind: "hello", Dst: hostid.Broadcast, Bytes: 64})
 	})
 	r.engine.Run(at + 0.5)
-	return slices.Clone(r.log)
+	return slices.Clone(r.log), onAir
 }
 
 // wantReceivers is the admitted receiver sequence by definition:
-// ascending IDs of the listening hosts within range of src.
-func wantReceivers(hosts []orderHost, src hostid.ID, r float64) []hostid.ID {
+// ascending IDs of the listening hosts within range of src at time at.
+func wantReceivers(hosts []orderHost, src hostid.ID, r, at float64) []hostid.ID {
 	var from geom.Point
 	for _, h := range hosts {
 		if h.id == src {
-			from = geom.Point{X: h.x, Y: h.y}
+			from = h.pos(at)
 		}
 	}
 	var want []hostid.ID
 	for _, h := range hosts {
-		if h.id != src && !h.asleep && from.Dist2(geom.Point{X: h.x, Y: h.y}) <= r*r {
+		if h.id != src && !h.asleep && from.Dist2(h.pos(at)) <= r*r {
 			want = append(want, h.id)
 		}
 	}
@@ -106,8 +119,8 @@ func wantReceivers(hosts []orderHost, src hostid.ID, r float64) []hostid.ID {
 }
 
 // checkNearIDs asserts NearIDs around p is strictly ascending, holds
-// every attached host in range and, under BruteForce, every attached
-// host.
+// every attached host in range at the engine's current time and, under
+// BruteForce, every attached host.
 func checkNearIDs(t *testing.T, r *orderRig, hosts []orderHost, p geom.Point, brute bool) {
 	t.Helper()
 	rng := r.channel.Config().Range
@@ -117,9 +130,10 @@ func checkNearIDs(t *testing.T, r *orderRig, hosts []orderHost, p geom.Point, br
 			t.Fatalf("NearIDs not strictly ascending: %v", got)
 		}
 	}
+	now := r.engine.Now()
 	for _, h := range hosts {
 		in := slices.Contains(got, h.id)
-		if (brute || h.stub || p.Dist2(geom.Point{X: h.x, Y: h.y}) <= rng*rng) && !in {
+		if (brute || h.stub || p.Dist2(h.pos(now)) <= rng*rng) && !in {
 			t.Fatalf("NearIDs %v misses host %v", got, h.id)
 		}
 	}
@@ -136,7 +150,7 @@ func TestReceiverOrderAcrossWordBoundaries(t *testing.T) {
 		{id: 64, x: 140, y: 60},
 	}
 	const src = 63
-	want := wantReceivers(hosts, src, DefaultConfig().Range)
+	want := wantReceivers(hosts, src, DefaultConfig().Range, 0)
 	if len(want) != 9 {
 		t.Fatalf("fixture admits %d receivers, want 9: %v", len(want), want)
 	}
@@ -146,7 +160,7 @@ func TestReceiverOrderAcrossWordBoundaries(t *testing.T) {
 			r.attach(h)
 		}
 		brute := m.name == "brute"
-		if got := r.broadcast(src, 0.1); !slices.Equal(got, want) {
+		if got, _ := r.broadcast(src, 0.1); !slices.Equal(got, want) {
 			t.Errorf("%s: receivers %v, want %v", m.name, got, want)
 		}
 		checkNearIDs(t, r, hosts, geom.Point{X: 100, Y: 100}, brute)
@@ -154,11 +168,11 @@ func TestReceiverOrderAcrossWordBoundaries(t *testing.T) {
 		// Detach and re-attach a word-boundary ID: the slot is reused
 		// and the order is unchanged.
 		r.channel.Detach(64)
-		if got := r.broadcast(src, 1); !slices.Equal(got, slices.DeleteFunc(slices.Clone(want), func(id hostid.ID) bool { return id == 64 })) {
+		if got, _ := r.broadcast(src, 1); !slices.Equal(got, slices.DeleteFunc(slices.Clone(want), func(id hostid.ID) bool { return id == 64 })) {
 			t.Errorf("%s: receivers after detaching 64: %v", m.name, got)
 		}
 		r.attach(orderHost{id: 64, x: 140, y: 60})
-		if got := r.broadcast(src, 2); !slices.Equal(got, want) {
+		if got, _ := r.broadcast(src, 2); !slices.Equal(got, want) {
 			t.Errorf("%s: receivers after re-attaching 64: %v, want %v", m.name, got, want)
 		}
 		checkNearIDs(t, r, hosts, geom.Point{X: 100, Y: 100}, brute)
@@ -179,49 +193,58 @@ func TestAttachNegativeIDPanics(t *testing.T) {
 	}
 }
 
-// FuzzReceiverOrder decodes a population from the input, four bytes per
-// host (ID low byte, ID bit 8 and flags, x, y), and requires all three
-// scan paths to deliver two broadcasts from the first host to exactly
-// the listening hosts in range, in ascending ID order. The second
-// broadcast replays from the receiver cache on the cached path.
+// FuzzReceiverOrder decodes a population from the input, six bytes per
+// host (ID low byte, ID bit 8 and flags, x, y, and a signed velocity
+// per axis), and requires both scan paths to deliver broadcasts at
+// several instants, from rotating senders, to exactly the listening
+// hosts in range at the instant each frame goes on air, in ascending ID
+// order. Hosts move up to 32 m/s between frames, so on the indexed path
+// candidates cross the range edge while their snapshots age, and the
+// drift bound decides which ones are read live.
 func FuzzReceiverOrder(f *testing.F) {
 	seed := []byte{}
 	for i, id := range []int{63, 0, 1, 62, 64, 65, 127, 128, 129, 200} {
 		flags := byte(id>>8) | byte(i%3)<<1 // bit 1: asleep, bit 2: stub
-		seed = append(seed, byte(id), flags, byte(40+i*17), byte(60+i*11))
+		seed = append(seed, byte(id), flags, byte(40+i*17), byte(60+i*11), byte(i*37), byte(200-i*29))
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hosts []orderHost
+		var awake []hostid.ID
 		seen := map[hostid.ID]bool{}
-		for ; len(data) >= 4; data = data[4:] {
+		for ; len(data) >= 6; data = data[6:] {
 			id := hostid.ID(int(data[0]) | int(data[1]&1)<<8)
 			if seen[id] {
 				continue
 			}
 			seen[id] = true
-			hosts = append(hosts, orderHost{
+			h := orderHost{
 				id: id, x: float64(data[2]) * 3, y: float64(data[3]) * 3,
-				asleep: data[1]&2 != 0 && len(hosts) > 0, // the sender stays awake
+				vx: float64(int8(data[4])) / 4, vy: float64(int8(data[5])) / 4,
+				asleep: data[1]&2 != 0 && len(hosts) > 0, // the first sender stays awake
 				stub:   data[1]&4 != 0,
-			})
+			}
+			hosts = append(hosts, h)
+			if !h.asleep {
+				awake = append(awake, id)
+			}
 		}
 		if len(hosts) == 0 {
 			return
 		}
-		src := hosts[0].id
-		want := wantReceivers(hosts, src, DefaultConfig().Range)
 		for _, m := range scanModes {
 			r := newOrderRig(m.cfg)
 			for _, h := range hosts {
 				r.attach(h)
 			}
-			for _, at := range []float64{0.1, 1} {
-				if got := r.broadcast(src, at); !slices.Equal(got, want) {
-					t.Fatalf("%s at %v: receivers %v, want %v", m.name, at, got, want)
+			for k, at := range []float64{0.1, 1, 2.5, 6} {
+				src := awake[k%len(awake)]
+				got, onAir := r.broadcast(src, at)
+				if want := wantReceivers(hosts, src, DefaultConfig().Range, onAir); !slices.Equal(got, want) {
+					t.Fatalf("%s: broadcast from %v at %v: receivers %v, want %v", m.name, src, onAir, got, want)
 				}
 			}
-			checkNearIDs(t, r, hosts, geom.Point{X: hosts[0].x, Y: hosts[0].y}, m.name == "brute")
+			checkNearIDs(t, r, hosts, hosts[0].pos(r.engine.Now()), m.name == "brute")
 		}
 	})
 }

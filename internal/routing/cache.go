@@ -15,11 +15,12 @@ type dupKey struct {
 }
 
 // NewDupCache creates a cache whose records expire after ttl seconds.
+// Its map is made on the first record.
 func NewDupCache(ttl float64) *DupCache {
 	if ttl <= 0 {
 		panic("routing: non-positive dup-cache ttl")
 	}
-	return &DupCache{ttl: ttl, seen: make(map[dupKey]float64)}
+	return &DupCache{ttl: ttl}
 }
 
 // Seen records (src, id) and reports whether it was already present and
@@ -28,6 +29,9 @@ func (c *DupCache) Seen(src hostid.ID, id uint32, now float64) bool {
 	k := dupKey{src, id}
 	if t, ok := c.seen[k]; ok && now-t <= c.ttl {
 		return true
+	}
+	if c.seen == nil {
+		c.seen = make(map[dupKey]float64)
 	}
 	c.seen[k] = now
 	if len(c.seen) > 4096 {
@@ -60,12 +64,12 @@ type Buffer struct {
 }
 
 // NewBuffer creates a buffer holding at most perDest packets per
-// destination.
+// destination. Its map is made on the first Push.
 func NewBuffer(perDest int) *Buffer {
 	if perDest <= 0 {
 		panic("routing: non-positive buffer capacity")
 	}
-	return &Buffer{perDest: perDest, queues: make(map[hostid.ID][]*DataPacket)}
+	return &Buffer{perDest: perDest}
 }
 
 // Push queues pkt for dst, dropping the oldest packet if full.
@@ -74,6 +78,9 @@ func (b *Buffer) Push(dst hostid.ID, pkt *DataPacket) {
 	if len(q) >= b.perDest {
 		q = q[1:]
 		b.dropped++
+	}
+	if b.queues == nil {
+		b.queues = make(map[hostid.ID][]*DataPacket)
 	}
 	b.queues[dst] = append(q, pkt)
 }

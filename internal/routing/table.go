@@ -29,9 +29,10 @@ type Table struct {
 }
 
 // NewTable creates a table whose entries expire ttl seconds after their
-// last update. A non-positive ttl disables expiry.
+// last update. A non-positive ttl disables expiry. Its map is made on
+// the first Update.
 func NewTable(ttl float64) *Table {
-	return &Table{ttl: ttl, entries: make(map[hostid.ID]Entry)}
+	return &Table{ttl: ttl}
 }
 
 // Lookup returns the live entry for dst. Expired entries are removed and
@@ -66,6 +67,9 @@ func (t *Table) Update(e Entry, now float64) bool {
 		if e.Seq == old.Seq && e.Hops > old.Hops {
 			return false
 		}
+	}
+	if t.entries == nil {
+		t.entries = make(map[hostid.ID]Entry)
 	}
 	t.entries[e.Dst] = e
 	return true
@@ -147,13 +151,18 @@ func NewHostTable() *HostTable {
 
 // NewHostTableTTL returns an empty host table whose rows expire
 // activeTTL (active) or sleepTTL (sleeping) seconds after last being
-// seen. Zero disables expiry for that status.
+// seen. Zero disables expiry for that status. Its map is made on the
+// first row written.
 func NewHostTableTTL(activeTTL, sleepTTL float64) *HostTable {
-	return &HostTable{
-		activeTTL: activeTTL,
-		sleepTTL:  sleepTTL,
-		hosts:     make(map[hostid.ID]HostEntry),
+	return &HostTable{activeTTL: activeTTL, sleepTTL: sleepTTL}
+}
+
+// put writes row e, making the map on first use.
+func (h *HostTable) put(e HostEntry) {
+	if h.hosts == nil {
+		h.hosts = make(map[hostid.ID]HostEntry)
 	}
+	h.hosts[e.ID] = e
 }
 
 // Fresh returns the entry for id if it has not expired at time now.
@@ -185,7 +194,7 @@ func (h *HostTable) Fresh(id hostid.ID, now float64) (HostEntry, bool) {
 
 // Note records that host id was seen with the given status.
 func (h *HostTable) Note(id hostid.ID, status HostStatus, now float64) {
-	h.hosts[id] = HostEntry{ID: id, Status: status, LastSeen: now}
+	h.put(HostEntry{ID: id, Status: status, LastSeen: now})
 }
 
 // Status returns the host's entry if present.
@@ -217,7 +226,7 @@ func (h *HostTable) Snapshot() []HostEntry {
 func (h *HostTable) Merge(rows []HostEntry) {
 	for _, e := range rows {
 		if old, ok := h.hosts[e.ID]; !ok || e.LastSeen > old.LastSeen {
-			h.hosts[e.ID] = e
+			h.put(e)
 		}
 	}
 }

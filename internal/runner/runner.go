@@ -79,11 +79,10 @@ type Results struct {
 	// compiles. The next change to bench/ and BENCHMARK.json removes it.
 	Shard *ShardStats `json:"-"`
 
-	// RxCache is the receiver-scan telemetry (cache hits, misses,
-	// rechecks, scan candidates). Runtime-only and excluded from the
-	// canonical encoding: cached runs are byte-identical to the
-	// NoRxCache reference, so stored results must not differ by cache
-	// behavior.
+	// RxCache is the receiver-scan telemetry: candidates examined and
+	// positions read live. Runtime-only and excluded from the canonical
+	// encoding: indexed runs are byte-identical to the BruteForce
+	// reference, so stored results must not differ by scan path.
 	RxCache radio.RxCacheStats `json:"-"`
 
 	Collector *metrics.Collector

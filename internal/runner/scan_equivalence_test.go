@@ -9,18 +9,15 @@ import (
 	"ecgrid/internal/scengen"
 )
 
-// TestRxCacheEquivalence proves the receiver-plane cache is an
-// optimization, not a model change: every scenario must produce
-// byte-identical metrics and trace fingerprints with the cache (the
-// default) and with Radio.NoRxCache, the uncached reference path — the
-// same contract Radio.BruteForce is held to. The matrix
-// spans the paper protocol and the two duty-cycled baselines (SPAN and
-// GAF sleep most stations, churning the listen epochs the cache is
-// keyed on) across three population sizes; the
-// faulted variant combines a gateway crash (detach/re-attach epochs, a
-// recovery re-insert) with a jamming window (the Interceptor path must
-// see live receiver positions on cache hits).
-func TestRxCacheEquivalence(t *testing.T) {
+// TestSnapshotScanEquivalence holds the indexed receiver scan, whose
+// candidates are mostly settled from position snapshots, to the
+// BruteForce reference on the populations that stress the snapshots
+// most: the duty-cycled SPAN and GAF (most stations asleep, so few
+// snapshots are refreshed by their own sends) at three sizes, and a
+// gateway crash (detach and re-attach of an ID, a recovery re-insert)
+// combined with a jamming window (the Interceptor takes live receiver
+// positions even where a snapshot settled the range check).
+func TestSnapshotScanEquivalence(t *testing.T) {
 	type variant struct {
 		proto scenario.ProtocolKind
 		hosts int
@@ -51,8 +48,7 @@ func TestRxCacheEquivalence(t *testing.T) {
 			switch {
 			case v.hosts >= 1000:
 				// Paper-like density at 1000 hosts needs a 3000 m side;
-				// keep the simulated span short — the point is cache
-				// churn coverage, not a long campaign.
+				// a short span keeps the O(n²) reference affordable.
 				cfg.AreaSize = 3000
 				cfg.Duration = 8
 				cfg.Flows = 30
@@ -65,34 +61,32 @@ func TestRxCacheEquivalence(t *testing.T) {
 				cfg.Faults = crashPlusJam(cfg.Hosts, cfg.AreaSize, cfg.Duration)
 			}
 			ref := cfg
-			ref.Radio.NoRxCache = true
-
-			cached := fingerprint(cfg)
-			uncached := fingerprint(ref)
-			if cached != uncached {
-				t.Fatalf("receiver cache diverged from NoRxCache reference — first divergence:\n%s",
-					firstDiff(cached, uncached))
+			ref.Radio.BruteForce = true
+			indexed := fingerprint(cfg)
+			brute := fingerprint(ref)
+			if indexed != brute {
+				t.Fatalf("snapshot scan diverged from brute-force reference — first divergence:\n%s",
+					firstDiff(indexed, brute))
 			}
 		})
 	}
 }
 
 // crashPlusJam composes the gateway-crash and jam-center presets into
-// the adversarial plan ISSUE 10 names: membership churn and the
-// Interceptor running in one schedule.
+// one adversarial plan: membership churn and the Interceptor running in
+// one schedule.
 func crashPlusJam(hosts int, areaSize, duration float64) *faults.Plan {
 	p := mustPreset("gateway-crash", hosts, areaSize, duration)
 	p.Jams = mustPreset("jam-center", hosts, areaSize, duration).Jams
 	return p
 }
 
-// TestRxCacheEquivalenceGenerated repeats the NoRxCache check on the two
-// generated shapes the cache is most stressed by: a dense clustered
-// Manhattan scenario (high hit value, street turns re-bucketing through
-// covered cells, an obstacle Interceptor on the hit path) and a
-// group-patrol scenario (whole clusters drifting together, so covers
-// churn in bursts while members stay mutually in range).
-func TestRxCacheEquivalenceGenerated(t *testing.T) {
+// TestSnapshotScanEquivalenceGenerated repeats the BruteForce check on
+// two generated shapes: a dense clustered Manhattan scenario (street
+// turns re-bucket hosts, and the obstacle Interceptor takes live
+// positions) and a group patrol (whole clusters drifting together, so
+// many snapshots age at once while members stay mutually in range).
+func TestSnapshotScanEquivalenceGenerated(t *testing.T) {
 	specs := map[string]*scengen.Spec{
 		"dense-manhattan": {
 			Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 3, StdDevM: 100},
@@ -116,12 +110,12 @@ func TestRxCacheEquivalenceGenerated(t *testing.T) {
 			cfg.Seed = 59
 			cfg.Gen = spec
 			ref := cfg
-			ref.Radio.NoRxCache = true
-			cached := fingerprint(cfg)
-			uncached := fingerprint(ref)
-			if cached != uncached {
-				t.Fatalf("receiver cache diverged on a generated scenario — first divergence:\n%s",
-					firstDiff(cached, uncached))
+			ref.Radio.BruteForce = true
+			indexed := fingerprint(cfg)
+			brute := fingerprint(ref)
+			if indexed != brute {
+				t.Fatalf("snapshot scan diverged on a generated scenario — first divergence:\n%s",
+					firstDiff(indexed, brute))
 			}
 		})
 	}

@@ -85,11 +85,6 @@ type entry[T any] struct {
 type Candidate[T any] struct {
 	ID      hostid.ID
 	Payload T
-	// Sure reports that the host is certainly within the query radius
-	// (its whole loose cell is), so the caller may skip the exact
-	// distance check. Sure is sound, not complete: a host in range near
-	// the query boundary is reported with Sure == false.
-	Sure bool
 }
 
 // Index is a loose uniform grid of mobile hosts. All methods must be
@@ -105,18 +100,9 @@ type Index[T any] struct {
 // cellGrid is the bucket store: a dense row-major array over the box of
 // every occupied cell (see box). The query loop touches dozens of cells
 // per transmission, where a map lookup per cell was measurably hot.
-//
-// epochs runs parallel to buckets: a monotonic per-cell counter bumped
-// on every membership change of the cell (add, remove, re-bucket in or
-// out). Cells outside the occupied box have the implicit epoch 0, and
-// growth relocates counters with their cells, so the epoch of an
-// absolute cell coordinate never moves backwards — an (epoch now ==
-// epoch then) comparison proves the cell's membership is unchanged
-// since then.
 type cellGrid[T any] struct {
 	box
 	buckets [][]*entry[T]
-	epochs  []uint64
 }
 
 // at returns the bucket for (cx, cy), nil when outside the occupied box.
@@ -132,18 +118,6 @@ func (g *cellGrid[T]) add(k cellKey, e *entry[T]) {
 	g.ensure(k)
 	i, _ := g.slot(k.cx, k.cy)
 	g.buckets[i] = append(g.buckets[i], e)
-	g.epochs[i]++
-}
-
-// epochAt returns the epoch of (cx, cy); cells outside the occupied box
-// are implicitly at epoch 0 (growth starts them there, so the value is
-// stable until a first add).
-func (g *cellGrid[T]) epochAt(cx, cy int32) uint64 {
-	i, ok := g.slot(cx, cy)
-	if !ok {
-		return 0
-	}
-	return g.epochs[i]
 }
 
 // ensure grows the box to include k.
@@ -153,7 +127,6 @@ func (g *cellGrid[T]) ensure(k cellKey) {
 		return
 	}
 	g.buckets = relocate(g.box, nb, g.buckets)
-	g.epochs = relocate(g.box, nb, g.epochs)
 	g.box = nb
 }
 
@@ -168,7 +141,6 @@ func (g *cellGrid[T]) remove(k cellKey, e *entry[T]) bool {
 			bucket[j] = bucket[len(bucket)-1]
 			bucket[len(bucket)-1] = nil
 			g.buckets[i] = bucket[:len(bucket)-1]
-			g.epochs[i]++
 			return true
 		}
 	}
@@ -275,8 +247,8 @@ func (ix *Index[T]) rebucket(e *entry[T]) {
 // Nearby appends to dst every tracked host whose position may be within
 // radius of p — a guaranteed superset of the hosts truly in range — and
 // returns dst sorted by host ID. The caller owns the exact distance
-// check (except where Sure makes it redundant) and should pass a
-// recycled dst[:0] to keep the query allocation-free.
+// check and should pass a recycled dst[:0] to keep the query
+// allocation-free.
 func (ix *Index[T]) Nearby(p geom.Point, radius float64, dst []Candidate[T]) []Candidate[T] {
 	dst = ix.NearbyAppend(p, radius, dst)
 	slices.SortFunc(dst, func(a, b Candidate[T]) int { return cmp.Compare(a.ID, b.ID) })
@@ -296,7 +268,6 @@ func (ix *Index[T]) Nearby(p geom.Point, radius float64, dst []Candidate[T]) []C
 func (ix *Index[T]) NearbyAppend(p geom.Point, radius float64, dst []Candidate[T]) []Candidate[T] {
 	cy0, cy1 := ix.rowRange(p, radius)
 	r := radius + slackGuard
-	r2 := radius * radius
 	for cy := cy0; cy <= cy1; cy++ {
 		cx0, cx1, ok := ix.rowSpan(p, r, cy)
 		if !ok {
@@ -304,12 +275,8 @@ func (ix *Index[T]) NearbyAppend(p geom.Point, radius float64, dst []Candidate[T
 		}
 		for cx := cx0; cx <= cx1; cx++ {
 			bucket := ix.cells.at(cx, cy)
-			if len(bucket) == 0 {
-				continue
-			}
-			sure := ix.surelyWithin(cellKey{cx, cy}, p, r2)
 			for _, e := range bucket {
-				dst = append(dst, Candidate[T]{ID: e.id, Payload: e.payload, Sure: sure})
+				dst = append(dst, Candidate[T]{ID: e.id, Payload: e.payload})
 			}
 		}
 	}
@@ -324,9 +291,7 @@ func (ix *Index[T]) rowRange(p geom.Point, radius float64) (cy0, cy1 int32) {
 
 // rowSpan returns the inclusive cell-column span of row cy that the
 // query disc (p, radius) can reach, with r = radius + slackGuard; ok is
-// false when the row is entirely out of reach. Shared by NearbyAppend
-// and CoverEpochs so the scanned cell set and the epoch cover are one
-// geometry by construction.
+// false when the row is entirely out of reach.
 //
 // Distance from p to the row's slack-expanded y-interval bounds the
 // y-component of any candidate in the row; the x-interval that can
@@ -345,49 +310,4 @@ func (ix *Index[T]) rowSpan(p geom.Point, r float64, cy int32) (cx0, cx1 int32, 
 	}
 	halfW := math.Sqrt(r*r-rowDy*rowDy) + ix.slack
 	return ix.coord(p.X - halfW), ix.coord(p.X + halfW), true
-}
-
-// CellEpoch records one cell of a query cover together with the epoch
-// it held when the cover was taken. The coordinates are absolute cell
-// coordinates, so a recorded cover stays comparable across grid growth.
-type CellEpoch struct {
-	CX, CY int32
-	Epoch  uint64
-}
-
-// CoverEpochs appends to dst one CellEpoch per cell a NearbyAppend scan
-// with the same (p, radius) would visit — including currently empty and
-// out-of-box cells (implicit epoch 0), because a later add there would
-// change the scan's result — and returns dst. Two equal covers prove
-// that between the two calls no tracked host was added to, removed
-// from, or re-bucketed through any cell the scan reads; a NearbyAppend
-// at the second instant would therefore return exactly the candidates
-// it returned at the first.
-// Pass a recycled dst[:0] to keep the digest allocation-free.
-func (ix *Index[T]) CoverEpochs(p geom.Point, radius float64, dst []CellEpoch) []CellEpoch {
-	cy0, cy1 := ix.rowRange(p, radius)
-	r := radius + slackGuard
-	for cy := cy0; cy <= cy1; cy++ {
-		cx0, cx1, ok := ix.rowSpan(p, r, cy)
-		if !ok {
-			continue
-		}
-		for cx := cx0; cx <= cx1; cx++ {
-			dst = append(dst, CellEpoch{CX: cx, CY: cy, Epoch: ix.cells.epochAt(cx, cy)})
-		}
-	}
-	return dst
-}
-
-// surelyWithin reports whether every point of the cell's loose bounds
-// lies within the query disc, i.e. whether each of the cell's hosts is
-// in range regardless of where inside its slack margin it drifted. The
-// farthest-corner distance is computed with monotone float operations
-// only, so it can never round below the exact per-host distance: a true
-// answer is always sound.
-func (ix *Index[T]) surelyWithin(k cellKey, p geom.Point, r2 float64) bool {
-	b := ix.looseBounds(k)
-	dx := math.Max(p.X-b.Min.X, b.Max.X-p.X)
-	dy := math.Max(p.Y-b.Min.Y, b.Max.Y-p.Y)
-	return dx*dx+dy*dy <= r2
 }

@@ -64,10 +64,6 @@ func TestNearbySupersetAndSorted(t *testing.T) {
 			if cd.Payload != int(cd.ID) {
 				t.Fatalf("trial %d: payload %d under ID %v", trial, cd.Payload, cd.ID)
 			}
-			if cd.Sure && pts[cd.ID].Dist2(q) > radius*radius {
-				t.Fatalf("trial %d: host %v marked Sure at dist %v > radius %v",
-					trial, cd.ID, pts[cd.ID].Dist(q), radius)
-			}
 		}
 		for id := range bruteNearby(pts, q, radius) {
 			if !got[id] {
