@@ -148,14 +148,10 @@ func TestUnboundedSpeedReadsEveryCandidate(t *testing.T) {
 	}
 	r.sendAt(0, 0)
 	r.sendAt(0.5, 0)
-	candidates := r.channel.RxCacheStats().Candidates
 	// Hosts 1, 2 and 3 are awake candidates of both frames; the sleeping
 	// host 4 is never read.
 	if n := r.liveReadsAfter(1); n != 6 {
 		t.Errorf("read %d positions live over two frames, want 6", n)
-	}
-	if c := r.channel.RxCacheStats().Candidates - candidates; c < 6 {
-		t.Errorf("examined %d candidates over two frames, want at least 6", c)
 	}
 	if len(r.hosts[1].received) != 2 || len(u.received) != 2 || len(r.hosts[2].received) != 0 {
 		t.Errorf("received %d, %d, %d frames, want 2, 2, 0",
