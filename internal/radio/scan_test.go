@@ -94,15 +94,16 @@ func (r *pacerRig) liveReadsAfter(until float64) uint64 {
 	return r.channel.RxCacheStats().LiveReads - before
 }
 
-// TestScanSettlesFromSnapshots pins which candidates the scan reads
-// live. Host 1 starts 1 m inside range walking out at 10 m/s, host 2 1 m
+// TestRxCacheDriftRecheck pins which candidates the scan reads live.
+// The position snapshots are the scan's receiver cache, and a live read
+// rechecks a candidate whose snapshot has drifted too far. Host 1 starts 1 m inside range walking out at 10 m/s, host 2 1 m
 // outside walking in, and host 3 sits deep inside range. The first frame
 // leaves within a millisecond of the snapshots Attach took, so every
 // margin covers the drift and nothing is read. Half a second later the
 // two edge hosts may have drifted 5 m, past their 1 m margins, so only
 // they are read; both cross the range edge, so only host 2 and host 3
 // receive the second frame.
-func TestScanSettlesFromSnapshots(t *testing.T) {
+func TestRxCacheDriftRecheck(t *testing.T) {
 	r := newPacerRig(DefaultConfig())
 	r.addPacer(0, 500, 500, 0, 0)
 	out := r.addPacer(1, 749, 500, 10, 0)
@@ -123,6 +124,196 @@ func TestScanSettlesFromSnapshots(t *testing.T) {
 		if got := len(c.h.received); got != c.want {
 			t.Errorf("host %v received %d frames, want %d", c.h.id, got, c.want)
 		}
+	}
+}
+
+// TestRxCacheMissOnMembershipEvents: no membership event between two
+// transmissions from one sender may leave the second scan deciding a
+// host from state the event made stale. In the snapshot cache a hit is a
+// candidate settled from its snapshot and a miss is a live position
+// read, by the scan (LiveReads) or by the spatial index, which refreshes
+// the snapshot as it does. Every population here is stationary unless
+// stated, so vmax is 0 and any snapshot taken after the last event
+// settles its host.
+func TestRxCacheMissOnMembershipEvents(t *testing.T) {
+	live := func(r *pacerRig) uint64 { return r.channel.RxCacheStats().LiveReads }
+
+	t.Run("baseline-hit", func(t *testing.T) {
+		r := newPacerRig(DefaultConfig())
+		r.addPacer(0, 500, 500, 0, 0)
+		b := r.addPacer(1, 560, 500, 0, 0)
+		r.sendAt(0.1, 0)
+		r.sendAt(0.3, 0)
+		r.engine.Run(1)
+		if n := live(r); n != 0 {
+			t.Fatalf("read %d positions live, want both frames settled from the attach snapshot", n)
+		}
+		if got := len(b.received); got != 2 {
+			t.Fatalf("receiver got %d frames, want 2", got)
+		}
+	})
+
+	t.Run("attach-forces-miss", func(t *testing.T) {
+		// The index's insert read is the miss: the attach itself
+		// snapshots the new host, so the second scan sees it at once.
+		r := newPacerRig(DefaultConfig())
+		r.addPacer(0, 500, 500, 0, 0)
+		r.addPacer(1, 560, 500, 0, 0)
+		r.sendAt(0.1, 0)
+		r.engine.At(0.2, func() { r.addPacer(2, 440, 500, 0, 0) })
+		r.sendAt(0.3, 0)
+		r.engine.Run(0.25)
+		if s := r.channel.snap[2]; s.t != 0.2 || s.p != (geom.Point{X: 440, Y: 500}) {
+			t.Fatalf("snapshot after attach = %+v, want (440,500) at 0.2", s)
+		}
+		r.engine.Run(1)
+		if got := len(r.hosts[2].received); got != 1 {
+			t.Fatalf("late attacher received %d frames, want 1", got)
+		}
+		if n := live(r); n != 0 {
+			t.Fatalf("read %d positions live, want the attach snapshot to settle the late attacher", n)
+		}
+	})
+
+	t.Run("detach-forces-miss", func(t *testing.T) {
+		// A detached host leaves the index, so the second scan neither
+		// examines it nor consults its snapshot.
+		r := newPacerRig(DefaultConfig())
+		r.addPacer(0, 500, 500, 0, 0)
+		r.addPacer(1, 560, 500, 0, 0)
+		r.addPacer(2, 440, 500, 0, 0)
+		r.sendAt(0.1, 0)
+		r.engine.Run(0.15)
+		first := r.channel.RxCacheStats().Candidates
+		r.engine.At(0.2, func() { r.channel.Detach(2) })
+		r.sendAt(0.3, 0)
+		r.engine.Run(1)
+		if second := r.channel.RxCacheStats().Candidates - first; second != first-1 {
+			t.Fatalf("second scan examined %d candidates, want %d (the first scan's minus the detached host)", second, first-1)
+		}
+		if got := len(r.hosts[2].received); got != 1 {
+			t.Fatalf("detached host received %d frames, want only the first", got)
+		}
+		if n := live(r); n != 0 {
+			t.Fatalf("read %d positions live, want 0", n)
+		}
+	})
+
+	t.Run("rebucket-forces-miss", func(t *testing.T) {
+		// Host 1 walks +x at 20 m/s from x=560. The index re-checks its
+		// bucket whenever the host may have left the bucket's loose
+		// bounds, and each re-check reads the position, so by the second
+		// frame the snapshot is the index's latest read, not the attach.
+		r := newPacerRig(DefaultConfig())
+		r.addPacer(0, 500, 500, 0, 0)
+		b := r.addPacer(1, 560, 500, 20, 0)
+		r.sendAt(0.1, 0)
+		r.sendAt(6.0, 0)
+		r.engine.Run(5.9)
+		s := r.channel.snap[1]
+		if !(s.t > 0.1 && s.t <= 5.9) {
+			t.Fatalf("snapshot taken at %v, want a re-bucket read after the first frame", s.t)
+		}
+		if s.p != b.at(s.t) {
+			t.Fatalf("snapshot %v is not the host's position %v at %v", s.p, b.at(s.t), s.t)
+		}
+		r.engine.Run(7)
+		if got := len(b.received); got != 2 {
+			t.Fatalf("walking host received %d frames, want 2", got)
+		}
+	})
+
+	t.Run("unindexed-attach-forces-miss", func(t *testing.T) {
+		// A Mover-less endpoint is not in the index, so nothing reads it
+		// at Attach: its snapshot is invalid and the next scan must read
+		// it live. That read refreshes the snapshot, so the third scan
+		// settles it.
+		r := newPacerRig(DefaultConfig())
+		r.addPacer(0, 500, 500, 0, 0)
+		r.addPacer(1, 560, 500, 0, 0)
+		r.sendAt(0.1, 0)
+		var h *parked
+		r.engine.At(0.2, func() {
+			h = &parked{fakeHost{id: 9, pos: geom.Point{X: 430, Y: 500},
+				battery: energy.NewBattery(energy.PaperModel(), 1e6)}}
+			r.channel.Attach(h)
+		})
+		r.sendAt(0.3, 0)
+		if n := r.liveReadsAfter(0.4); n != 1 {
+			t.Fatalf("scan after the unindexed attach read %d positions live, want 1", n)
+		}
+		r.sendAt(0.5, 0)
+		if n := r.liveReadsAfter(1); n != 0 {
+			t.Fatalf("scan after the refresh read %d positions live, want 0", n)
+		}
+		if got := len(h.received); got != 2 {
+			t.Fatalf("unindexed host received %d frames, want 2", got)
+		}
+	})
+
+	// Property sweep: random stationary populations within 212 m of the
+	// sender (all in range), with a random attach or detach between two
+	// transmissions. Every host attached at the second frame must get it
+	// and a detached one must not, with no live read.
+	t.Run("random-attach-detach", func(t *testing.T) {
+		rng := sim.NewRNG(42)
+		for trial := 0; trial < 25; trial++ {
+			r := newPacerRig(DefaultConfig())
+			r.addPacer(0, 500, 500, 0, 0)
+			n := 5 + rng.Intn("trial", 20)
+			for i := 1; i <= n; i++ {
+				x := rng.Uniform("x", 350, 650)
+				y := rng.Uniform("y", 350, 650)
+				r.addPacer(hostid.ID(i), x, y, 0, 0)
+			}
+			r.sendAt(0.1, 0)
+			want := make(map[hostid.ID]int, n+1)
+			for i := 1; i <= n; i++ {
+				want[hostid.ID(i)] = 2
+			}
+			if trial%2 == 0 {
+				x := rng.Uniform("ax", 350, 650)
+				y := rng.Uniform("ay", 350, 650)
+				want[hostid.ID(n+1)] = 1
+				r.engine.At(0.2, func() { r.addPacer(hostid.ID(n+1), x, y, 0, 0) })
+			} else {
+				victim := hostid.ID(1 + rng.Intn("victim", n))
+				want[victim] = 1
+				r.engine.At(0.2, func() { r.channel.Detach(victim) })
+			}
+			r.sendAt(0.3, 0)
+			r.engine.Run(1)
+			for id, w := range want {
+				if got := len(r.hosts[id].received); got != w {
+					t.Fatalf("trial %d: host %v received %d frames, want %d", trial, id, got, w)
+				}
+			}
+			if n := live(r); n != 0 {
+				t.Fatalf("trial %d: read %d positions live, want 0", trial, n)
+			}
+		}
+	})
+}
+
+// TestRxCacheListenFlipStaysHit: sleep and wake leave the snapshots
+// alone. A sleeping candidate is skipped on the awake table before its
+// snapshot is consulted, and after waking the snapshot Attach took
+// still settles it, so duty-cycled protocols (SPAN and GAF put most of
+// the population to sleep) pay no live read for the flips.
+func TestRxCacheListenFlipStaysHit(t *testing.T) {
+	r := newPacerRig(DefaultConfig())
+	r.addPacer(0, 500, 500, 0, 0)
+	b := r.addPacer(1, 560, 500, 0, 0)
+	r.sendAt(0.1, 0)
+	r.engine.At(0.2, func() { r.channel.SetListening(1, false) })
+	r.sendAt(0.3, 0)
+	r.engine.At(0.4, func() { r.channel.SetListening(1, true) })
+	r.sendAt(0.5, 0)
+	if n := r.liveReadsAfter(1); n != 0 {
+		t.Fatalf("read %d positions live, want listen flips settled from the snapshot", n)
+	}
+	if got := len(b.received); got != 2 {
+		t.Fatalf("flipping host received %d frames, want 2 (asleep for the middle one)", got)
 	}
 }
 

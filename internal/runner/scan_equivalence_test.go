@@ -9,15 +9,15 @@ import (
 	"ecgrid/internal/scengen"
 )
 
-// TestSnapshotScanEquivalence holds the indexed receiver scan, whose
-// candidates are mostly settled from position snapshots, to the
-// BruteForce reference on the populations that stress the snapshots
+// TestRxCacheEquivalence holds the indexed receiver scan, whose
+// candidates are mostly settled from its receiver cache (the per-host
+// position snapshots), to the BruteForce reference on the populations that stress the snapshots
 // most: the duty-cycled SPAN and GAF (most stations asleep, so few
 // snapshots are refreshed by their own sends) at three sizes, and a
 // gateway crash (detach and re-attach of an ID, a recovery re-insert)
 // combined with a jamming window (the Interceptor takes live receiver
 // positions even where a snapshot settled the range check).
-func TestSnapshotScanEquivalence(t *testing.T) {
+func TestRxCacheEquivalence(t *testing.T) {
 	type variant struct {
 		proto scenario.ProtocolKind
 		hosts int
@@ -81,12 +81,12 @@ func crashPlusJam(hosts int, areaSize, duration float64) *faults.Plan {
 	return p
 }
 
-// TestSnapshotScanEquivalenceGenerated repeats the BruteForce check on
+// TestRxCacheEquivalenceGenerated repeats the BruteForce check on
 // two generated shapes: a dense clustered Manhattan scenario (street
 // turns re-bucket hosts, and the obstacle Interceptor takes live
 // positions) and a group patrol (whole clusters drifting together, so
 // many snapshots age at once while members stay mutually in range).
-func TestSnapshotScanEquivalenceGenerated(t *testing.T) {
+func TestRxCacheEquivalenceGenerated(t *testing.T) {
 	specs := map[string]*scengen.Spec{
 		"dense-manhattan": {
 			Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 3, StdDevM: 100},
