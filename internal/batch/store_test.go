@@ -74,20 +74,22 @@ func TestRunStoreBacked(t *testing.T) {
 	}
 }
 
-// TestRunStoreUncachedHitsCachedEntry: the receiver cache is execution
-// strategy, not model, so an uncached rerun of a stored config is a
-// store hit — one simulation in total, however the model is run.
+// TestRunStoreUncachedHitsCachedEntry: the receiver scan is execution
+// strategy, not model, so rerunning a stored config on the BruteForce
+// reference scan (which reads every station's position for every frame,
+// instead of the spatial index and the position snapshots) is a store
+// hit — one simulation in total, however the model is run.
 func TestRunStoreUncachedHitsCachedEntry(t *testing.T) {
 	st := newMemStore()
-	cached := tinyCfg(scenario.ECGRID, 4)
-	first, sum := Run(context.Background(), []Job{{Tag: "cached", Cfg: cached}}, Options{Workers: 1, Store: st})
+	indexed := tinyCfg(scenario.ECGRID, 4)
+	first, sum := Run(context.Background(), []Job{{Tag: "indexed", Cfg: indexed}}, Options{Workers: 1, Store: st})
 	if err := sum.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	uncached := cached
-	uncached.Radio.NoRxCache = true
-	second, sum2 := Run(context.Background(), []Job{{Tag: "uncached", Cfg: uncached}}, Options{Workers: 1, Store: st})
+	brute := indexed
+	brute.Radio.BruteForce = true
+	second, sum2 := Run(context.Background(), []Job{{Tag: "bruteforce", Cfg: brute}}, Options{Workers: 1, Store: st})
 	if err := sum2.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +97,10 @@ func TestRunStoreUncachedHitsCachedEntry(t *testing.T) {
 		t.Fatalf("executed %d simulations (cached %d, puts %d), want 1 (1, 1)", got, sum2.Cached, st.puts)
 	}
 	if second[0].Key != first[0].Key {
-		t.Fatalf("uncached key %s, want the cached run's key %s", second[0].Key, first[0].Key)
+		t.Fatalf("BruteForce key %s, want the indexed run's key %s", second[0].Key, first[0].Key)
 	}
 	if string(marshal(t, first[0].Res)) != string(marshal(t, second[0].Res)) {
-		t.Fatal("uncached rerun served different results")
+		t.Fatal("BruteForce rerun served different results")
 	}
 }
 

@@ -177,11 +177,38 @@ func gpsOffset(seed int64, host int, maxM, resample, t float64) (dx, dy float64)
 	return (2*u1 - 1) * maxM, (2*u2 - 1) * maxM
 }
 
+// reachGuard (meters) pads JamReaches' square against rounding, as the
+// radio's drift bounds are padded.
+const reachGuard = 1e-3
+
+// JamReaches reports whether some jam is active now, has a positive
+// DropProb and has a Region intersecting the closed square
+// from ± (r + 1 mm). When it reports false, FrameJammed(from, to)
+// returns false without a draw for every receiver within r of from:
+// neither endpoint can lie in an active region. The radio channel asks
+// it once per frame (radio.Channel.InterceptReach).
+func (in *Injector) JamReaches(from geom.Point, r float64) bool {
+	now := in.engine.Now()
+	h := r + reachGuard
+	for _, j := range in.plan.Jams {
+		if now < j.From || now >= j.Until || !(j.DropProb > 0) {
+			continue
+		}
+		g := j.Region
+		if g.MinX <= from.X+h && g.MaxX >= from.X-h && g.MinY <= from.Y+h && g.MaxY >= from.Y-h {
+			return true
+		}
+	}
+	return false
+}
+
 // FrameJammed reports whether a frame transmitted from `from` toward a
 // receiver at `to` is killed by an active jamming region at the current
 // simulation time. The radio channel consults it once per in-range
-// receiver; each consultation is an independent Bernoulli draw on the
-// "faults.jam" stream (no draw when the answer is certain).
+// receiver of a frame JamReaches cannot rule out (the BruteForce
+// reference, once per in-range receiver of every frame); each
+// consultation is an independent Bernoulli draw on the "faults.jam"
+// stream (no draw when the answer is certain).
 func (in *Injector) FrameJammed(from, to geom.Point) bool {
 	now := in.engine.Now()
 	for _, j := range in.plan.Jams {

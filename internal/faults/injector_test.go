@@ -242,3 +242,82 @@ func TestNewInjectorValidation(t *testing.T) {
 	}()
 	NewInjector(sim.NewEngine(), sim.NewRNG(1), nil, nil)
 }
+
+// TestJamReaches: JamReaches is true exactly when a jam is active now,
+// has a positive DropProb and its region meets the closed square
+// from ± (r + reachGuard), a touching edge included.
+func TestJamReaches(t *testing.T) {
+	const r = 250.0
+	from := geom.Point{X: 1000, Y: 1000}
+	h := r + reachGuard
+	hi := from.X + h
+	touching := Region{MinX: hi, MinY: 900, MaxX: hi + 50, MaxY: 1100}
+	clear := Region{MinX: math.Nextafter(hi, math.Inf(1)), MinY: 900, MaxX: hi + 50, MaxY: 1100}
+	lo := from.Y - h
+	below := Region{MinX: 900, MinY: lo - 50, MaxX: 1100, MaxY: lo}
+	for _, tc := range []struct {
+		name string
+		jam  Jam
+		at   float64
+		want bool
+	}{
+		{"touches east", Jam{Region: touching, From: 10, Until: 20, DropProb: 0.5}, 15, true},
+		{"touches south", Jam{Region: below, From: 10, Until: 20, DropProb: 1}, 15, true},
+		{"clear of east", Jam{Region: clear, From: 10, Until: 20, DropProb: 1}, 15, false},
+		{"before window", Jam{Region: touching, From: 10, Until: 20, DropProb: 1}, 9, false},
+		{"window opens", Jam{Region: touching, From: 10, Until: 20, DropProb: 1}, 10, true},
+		{"window closed", Jam{Region: touching, From: 10, Until: 20, DropProb: 1}, 20, false},
+		{"zero drop", Jam{Region: touching, From: 10, Until: 20, DropProb: 0}, 15, false},
+	} {
+		e, _, inj := newTestInjector(&Plan{Jams: []Jam{tc.jam}}, 1)
+		var got bool
+		e.At(tc.at, func() { got = inj.JamReaches(from, r) })
+		e.Run(30)
+		if got != tc.want {
+			t.Errorf("%s: JamReaches at t=%g = %v, want %v", tc.name, tc.at, got, tc.want)
+		}
+	}
+}
+
+// TestJamReachFalseMeansNoDraw: when JamReaches rules a sender out,
+// FrameJammed is false for every receiver within r, and the "faults.jam"
+// stream is left where it was: the next draw equals a fresh stream's
+// first. Jams cover a region near the senders, one with DropProb 0 over
+// them, and one outside its window.
+func TestJamReachFalseMeansNoDraw(t *testing.T) {
+	const r = 250.0
+	plan := &Plan{Jams: []Jam{
+		{Region: Region{MinX: 2000, MinY: 2000, MaxX: 2400, MaxY: 2400}, From: 0, Until: 100, DropProb: 0.5},
+		{Region: Region{MinX: 0, MinY: 0, MaxX: 5000, MaxY: 5000}, From: 0, Until: 100, DropProb: 0},
+		{Region: Region{MinX: 0, MinY: 0, MaxX: 5000, MaxY: 5000}, From: 200, Until: 300, DropProb: 1},
+	}}
+	e := sim.NewEngine()
+	rng := sim.NewRNG(3)
+	inj := NewInjector(e, rng, plan, nil)
+	pick := sim.NewRNG(11)
+	out, in := 0, 0
+	e.At(1, func() {
+		for i := 0; i < 2000; i++ {
+			from := geom.Point{X: pick.Uniform("x", 1000, 3400), Y: pick.Uniform("y", 1000, 3400)}
+			if inj.JamReaches(from, r) {
+				in++
+				continue
+			}
+			out++
+			for k := 0; k < 8; k++ {
+				a := pick.Uniform("angle", 0, 2*math.Pi)
+				to := geom.Point{X: from.X + r*math.Cos(a), Y: from.Y + r*math.Sin(a)}
+				if from.Dist2(to) <= r*r && inj.FrameJammed(from, to) {
+					t.Fatalf("sender %v out of reach, yet the frame to %v was jammed", from, to)
+				}
+			}
+		}
+	})
+	e.Run(10)
+	if out == 0 || in == 0 {
+		t.Fatalf("%d senders out of reach, %d in reach: want both", out, in)
+	}
+	if got, want := rng.Uniform(sim.StreamFaultJam, 0, 1), sim.NewRNG(3).Uniform(sim.StreamFaultJam, 0, 1); got != want {
+		t.Fatalf("faults.jam stream moved: next draw %v, a fresh stream's first %v", got, want)
+	}
+}

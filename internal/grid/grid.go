@@ -97,6 +97,32 @@ func (p *Partition) CellOf(pt geom.Point) Coord {
 	return Coord{X: clamp(cx, 0, p.nx-1), Y: clamp(cy, 0, p.ny-1)}
 }
 
+// CellMargin returns CellOf(pt) and the distance from pt to the nearest
+// side through which it can leave that cell. Sides on the area border
+// are skipped: CellOf clamps positions beyond them into the same cell.
+// A 1×1 partition has no side to leave, so its margin is +Inf. Near a
+// side the margin may read slightly negative from rounding; callers
+// pad it rather than trust its last digits.
+func (p *Partition) CellMargin(pt geom.Point) (Coord, float64) {
+	c := p.CellOf(pt)
+	m := math.Inf(1)
+	// Each product is wrapped in float64(...) so no platform fuses it
+	// with the add into one FMA: the margin rounds the same everywhere.
+	if c.X > 0 {
+		m = min(m, pt.X-(p.area.Min.X+float64(float64(c.X)*p.d)))
+	}
+	if c.X < p.nx-1 {
+		m = min(m, p.area.Min.X+float64(float64(c.X+1)*p.d)-pt.X)
+	}
+	if c.Y > 0 {
+		m = min(m, pt.Y-(p.area.Min.Y+float64(float64(c.Y)*p.d)))
+	}
+	if c.Y < p.ny-1 {
+		m = min(m, p.area.Min.Y+float64(float64(c.Y+1)*p.d)-pt.Y)
+	}
+	return c, m
+}
+
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -274,3 +274,51 @@ func TestCoordAndSearchAreaString(t *testing.T) {
 		t.Errorf("SearchArea.String() = %q", s)
 	}
 }
+
+// TestCellMargin: CellMargin returns CellOf's cell and the distance to
+// the nearest side a point can leave through; sides on the area border
+// do not count, so a clamped point beyond the border measures to the
+// cell's inner sides, and a 1×1 partition has no side at all.
+func TestCellMargin(t *testing.T) {
+	p := paperPartition()
+	for _, tc := range []struct {
+		pt   geom.Point
+		cell Coord
+		m    float64
+	}{
+		{geom.Point{X: 150, Y: 170}, Coord{1, 1}, 30},
+		{geom.Point{X: 120, Y: 150}, Coord{1, 1}, 20},
+		{geom.Point{X: 300, Y: 450}, Coord{3, 4}, 0}, // on a cell line
+		{geom.Point{X: 10, Y: 450}, Coord{0, 4}, 50}, // west side is the border
+		{geom.Point{X: 5, Y: 995}, Coord{0, 9}, 95},  // north-west corner cell
+		{geom.Point{X: -40, Y: 450}, Coord{0, 4}, 50},
+		{geom.Point{X: 1030, Y: 1080}, Coord{9, 9}, 130},
+	} {
+		c, m := p.CellMargin(tc.pt)
+		if c != tc.cell || c != p.CellOf(tc.pt) || math.Abs(m-tc.m) > 1e-9 {
+			t.Errorf("CellMargin(%v) = %v, %v; want %v, %v", tc.pt, c, m, tc.cell, tc.m)
+		}
+	}
+	one := NewPartition(geom.NewRect(geom.Point{}, geom.Point{X: 100, Y: 100}), 100)
+	if c, m := one.CellMargin(geom.Point{X: 40, Y: 60}); c != (Coord{}) || !math.IsInf(m, 1) {
+		t.Errorf("1×1 partition: CellMargin = %v, %v; want (0, 0), +Inf", c, m)
+	}
+	// Property: every point within the margin of pt shares its cell.
+	f := func(x, y, dx, dy float64) bool {
+		pt := geom.Point{X: math.Mod(math.Abs(x), 1200) - 100, Y: math.Mod(math.Abs(y), 1200) - 100}
+		c, m := p.CellMargin(pt)
+		if m <= 1e-6 {
+			return true
+		}
+		n := math.Hypot(dx, dy)
+		if n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
+			return true
+		}
+		s := (m - 1e-6) / n
+		q := geom.Point{X: pt.X + dx*s, Y: pt.Y + dy*s}
+		return p.CellOf(q) == c
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -89,6 +89,14 @@ type Host struct {
 	// reports (fault injection). The radio keeps using the true position.
 	gpsNoise func(t float64) (dx, dy float64)
 
+	// Cell memo: the noise-free Cell() answer, valid while the engine's
+	// clock is below cellUntil. vmax is the mobility model's speed bound,
+	// so a host cannot leave its cell before covering the margin CellOf
+	// left it (see Cell).
+	vmax      float64
+	cell      grid.Coord
+	cellUntil float64
+
 	cellEv   sim.Handle // pending cell-change event
 	deathEv  sim.Handle // pending death-check event
 	lastCell grid.Coord
@@ -142,6 +150,7 @@ func New(cfg Config) *Host {
 		partition: cfg.Partition,
 		mob:       cfg.Mobility,
 		battery:   cfg.Battery,
+		vmax:      mobility.SpeedBoundOf(cfg.Mobility),
 	}
 	h.cellFn = h.cellChanged
 	h.deathFn = h.checkDeath
@@ -225,7 +234,7 @@ func (h *Host) NextExit(t float64, bounds geom.Rect) float64 {
 // MaxSpeedMS implements radio.SpeedBounded: a bound on the host's speed
 // for the whole run, from its mobility model, or +Inf when the model
 // cannot bound itself.
-func (h *Host) MaxSpeedMS() float64 { return mobility.SpeedBoundOf(h.mob) }
+func (h *Host) MaxSpeedMS() float64 { return h.vmax }
 
 // GPS returns the position the host's positioning device reports: the
 // true position plus any injected noise. Everything the protocol derives
@@ -246,9 +255,35 @@ func (h *Host) GPS() geom.Point {
 // applied to every GPS reading (fault injection).
 func (h *Host) SetGPSNoise(fn func(t float64) (dx, dy float64)) { h.gpsNoise = fn }
 
+// cellGuard (meters) pads the Cell memo's margin against rounding in
+// leg interpolation and in the margin itself, as the radio's snapshot
+// guard does (DESIGN §16).
+const cellGuard = 1e-3
+
 // Cell returns the grid cell the host believes it is in (GPS reading;
 // out-of-area readings clamp to the nearest cell).
-func (h *Host) Cell() grid.Coord { return h.partition.CellOf(h.GPS()) }
+//
+// Without GPS noise the answer is CellOf(Position()), and a host moving
+// at most vmax cannot leave its cell before it has covered the distance
+// to the nearest side it can leave through. So each computed answer is
+// kept until now + (margin − cellGuard)/vmax, and a call before then
+// reads no position. A NaN or past deadline (a point on a cell line, an
+// unbounded or zero speed with no margin) keeps no memo. With noise
+// installed the reading is not a function of the true position alone,
+// so Cell computes it and leaves the memo alone.
+func (h *Host) Cell() grid.Coord {
+	if h.gpsNoise != nil {
+		return h.partition.CellOf(h.GPS())
+	}
+	now := h.engine.Now()
+	if now < h.cellUntil {
+		return h.cell
+	}
+	c, margin := h.partition.CellMargin(h.Position())
+	h.cell = c
+	h.cellUntil = now + (margin-cellGuard)/h.vmax
+	return c
+}
 
 // DistToCellCenter returns the distance from the host's reported
 // position to the physical center of its current cell (the HELLO "dist"

@@ -225,14 +225,23 @@ type Channel struct {
 	// and the trace layer use it.
 	Sniffer func(f *Frame, at float64)
 
-	// Interceptor, when non-nil, vets every potential reception at
-	// transmission start: it is called once per in-range listening
-	// receiver with the frame and the sender and receiver positions, and
-	// returning false corrupts the frame at that receiver (fault
-	// injection: jamming). The receiver still pays the reception energy,
-	// exactly as with a real collision; corrupted unicasts go through the
-	// normal MAC retry/failure path.
+	// Interceptor, when non-nil, vets potential receptions at
+	// transmission start: it is called with the frame and the sender and
+	// receiver positions, and returning false corrupts the frame at that
+	// receiver (fault injection: jamming; obstacles). The receiver still
+	// pays the reception energy, exactly as with a real collision;
+	// corrupted unicasts go through the normal MAC retry/failure path.
+	// The BruteForce reference calls it once per in-range listening
+	// receiver, in ID order; the indexed scan skips the frames that
+	// InterceptReach rules out.
 	Interceptor func(f *Frame, from, to geom.Point) bool
+	// InterceptReach, when non-nil, is asked once per frame before the
+	// indexed scan: false promises that, at this instant, Interceptor
+	// returns true without drawing randomness for every receiver within
+	// r of from, so the scan treats the frame as hook-free (no call, no
+	// live read of a snapshot-settled receiver). nil means the hook may
+	// act anywhere.
+	InterceptReach func(from geom.Point, r float64) bool
 }
 
 // NewChannel creates a medium with the given parameters.
@@ -550,10 +559,19 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	// Establish receptions at every listening host in range, in ID
 	// order so runs are reproducible. The indexed scan admits exactly the
 	// receivers, in exactly the order, of the brute-force reference
-	// below, which reads every awake station's position.
+	// below, which reads every awake station's position. hook says
+	// whether the Interceptor vets this frame; the reference never asks
+	// its reach.
 	tx.rx = c.rxBuf()
+	hook := c.Interceptor != nil
+	if hook && c.index != nil && c.InterceptReach != nil {
+		hook = c.InterceptReach(pos, c.cfg.Range)
+	}
+	if hook {
+		c.rxStats.Intercepted++
+	}
 	if c.index != nil {
-		c.indexedReceivers(tx, st, pos)
+		c.indexedReceivers(tx, st, pos, hook)
 	} else {
 		r2 := c.cfg.Range * c.cfg.Range
 		c.rxStats.Candidates += uint64(len(c.stations))
@@ -566,7 +584,7 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 			if pos.Dist2(otherPos) > r2 {
 				continue
 			}
-			c.admitReception(tx, other, pos, otherPos)
+			c.admitReception(tx, other, pos, otherPos, hook)
 		}
 	}
 
@@ -594,10 +612,10 @@ func (c *Channel) recycleRx(tx *transmission) {
 	c.rxFree = append(c.rxFree, buf[:0])
 }
 
-// admitReception records that other hears tx, applying interception and
-// collision corruption.
-func (c *Channel) admitReception(tx *transmission, other *station, from, to geom.Point) {
-	jammed := c.Interceptor != nil && !c.Interceptor(tx.frame, from, to)
+// admitReception records that other hears tx, applying collision
+// corruption and, when hook is set, interception.
+func (c *Channel) admitReception(tx *transmission, other *station, from, to geom.Point, hook bool) {
+	jammed := hook && !c.Interceptor(tx.frame, from, to)
 	if jammed {
 		c.counters.Jammed++
 	}

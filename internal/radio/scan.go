@@ -23,9 +23,10 @@ package radio
 //     drift, which settles nothing: the candidate is read live.
 //
 // Positions are pure functions of time, so skipping a read changes no
-// simulation state. An Interceptor takes receiver positions, so with one
-// installed an in-range candidate is still read live; out-of-range ones
-// are skipped either way.
+// simulation state. An Interceptor takes receiver positions, so on a
+// frame within its reach (Channel.InterceptReach) an in-range candidate
+// is still read live; out-of-range ones are skipped either way, and a
+// frame out of reach is scanned as if no hook were installed.
 
 import (
 	"math"
@@ -70,9 +71,13 @@ type RxCacheStats struct {
 	Candidates uint64
 	// LiveReads counts the receiver positions the scans read live: the
 	// candidates a snapshot could not settle, plus in-range receivers
-	// handed to an Interceptor. Under BruteForce every awake station but
-	// the sender is read.
+	// handed to an Interceptor on frames within its reach. Under
+	// BruteForce every awake station but the sender is read.
 	LiveReads uint64
+	// Intercepted counts the frames whose receivers were handed to the
+	// Interceptor: the frames within its reach (InterceptReach), and
+	// every frame under BruteForce while one is installed.
+	Intercepted uint64
 
 	// Hits, Misses, Rechecks and BusyHits are always zero.
 	//
@@ -108,8 +113,9 @@ func (c *Channel) readPos(st *station) geom.Point {
 
 // indexedReceivers opens a reception, in ascending ID order, at every
 // awake station other than the sender within Range of pos: the spatial
-// index's candidates filtered by snapshot, live read where needed.
-func (c *Channel) indexedReceivers(tx *transmission, st *station, pos geom.Point) {
+// index's candidates filtered by snapshot, live read where needed. hook
+// says whether the Interceptor vets this frame's receptions.
+func (c *Channel) indexedReceivers(tx *transmission, st *station, pos geom.Point, hook bool) {
 	rng := c.cfg.Range
 	r2 := rng * rng
 	now := c.engine.Now()
@@ -136,7 +142,7 @@ func (c *Channel) indexedReceivers(tx *transmission, st *station, pos geom.Point
 		if lo := rng - drift; lo > 0 && d2 < lo*lo {
 			// Surely in range; the position is needed only by an
 			// Interceptor, which must see the live one.
-			if c.Interceptor != nil {
+			if hook {
 				c.rxStats.LiveReads++
 				c.cpos[i] = c.readPos(cd.Payload)
 			}
@@ -154,6 +160,6 @@ func (c *Channel) indexedReceivers(tx *transmission, st *station, pos geom.Point
 	}
 	c.byID = c.sweepIDs(c.byID[:0])
 	for _, i := range c.byID {
-		c.admitReception(tx, c.cand[i].Payload, pos, c.cpos[i])
+		c.admitReception(tx, c.cand[i].Payload, pos, c.cpos[i], hook)
 	}
 }

@@ -21,6 +21,7 @@ package ras
 
 import (
 	"fmt"
+	"math"
 
 	"ecgrid/internal/geom"
 	"ecgrid/internal/grid"
@@ -176,14 +177,18 @@ func (b *Bus) Page(from geom.Point, target hostid.ID) {
 // location: every sleeping host currently inside c and within paging
 // range wakes with reason PagedGrid.
 //
-// Only the candidates within paging range of the pager are probed. They
-// arrive in ascending ID order and include every host the exact range
-// check below can admit, so the hosts woken and the DropHook draws match
-// a sweep over the whole population, in the same order.
+// Only candidates that may pass both exact checks below are probed:
+// those within the circumradius of c around its center when c is an
+// interior cell smaller than the paging reach, and those within paging
+// range of the pager otherwise (see pageQuery). They arrive in ascending
+// ID order and include every host the exact checks can admit, so the
+// hosts woken and the DropHook draws match a sweep over the whole
+// population, in the same order.
 func (b *Bus) PageGrid(from geom.Point, c grid.Coord) {
 	b.GridPagesSent++
 	b.engine.Schedule(b.latency, func() {
-		b.cand = b.near.NearIDs(from, b.rangeM, b.cand[:0])
+		p, r := b.pageQuery(from, c)
+		b.cand = b.near.NearIDs(p, r, b.cand[:0])
 		b.GridProbes += uint64(len(b.cand))
 		for _, id := range b.cand {
 			sw, ok := b.switches[id]
@@ -203,4 +208,25 @@ func (b *Bus) PageGrid(from geom.Point, c grid.Coord) {
 			}
 		}
 	})
+}
+
+// cellGuard (meters) pads a cell's circumradius against rounding in
+// CellOf and Center: one millimeter, far above the slop and far below
+// cell scale.
+const cellGuard = 1e-3
+
+// pageQuery returns the disc a grid page of cell c sent from `from`
+// draws its candidates from. A host inside an interior cell lies within
+// the cell's circumradius of its center, so when that disc is the
+// smaller one it holds every host the page can wake. An edge cell also
+// owns the positions beyond the area border that CellOf clamps into it,
+// so it keeps the pager's range disc, as does a cell too large for the
+// circumradius to beat the range.
+func (b *Bus) pageQuery(from geom.Point, c grid.Coord) (geom.Point, float64) {
+	part := b.partition
+	interior := c.X > 0 && c.X < part.Cols()-1 && c.Y > 0 && c.Y < part.Rows()-1
+	if rc := float64(part.CellSize()*math.Sqrt2/2) + cellGuard; interior && rc < b.rangeM {
+		return part.Center(c), rc
+	}
+	return from, b.rangeM
 }

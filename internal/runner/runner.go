@@ -297,6 +297,7 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 		channel.Interceptor = func(f *radio.Frame, from, to geom.Point) bool {
 			return obstacles.Deliverable(baseRange, from, to)
 		}
+		channel.InterceptReach = obstacles.Reaches
 	}
 
 	// Fault injection: translate the plan into per-host targets and
@@ -351,12 +352,16 @@ func run(cfg scenario.Config) (*Results, *ras.Bus) {
 		// Compose with an obstacle map already installed above: the
 		// geometric veto runs first, then the jamming draw (in that
 		// order, so a shadowed reception never consumes jam randomness).
-		prev := channel.Interceptor
+		// The composed hook can act on a frame wherever either part can.
+		prev, prevReach := channel.Interceptor, channel.InterceptReach
 		channel.Interceptor = func(f *radio.Frame, from, to geom.Point) bool {
 			if prev != nil && !prev(f, from, to) {
 				return false
 			}
 			return !inj.FrameJammed(from, to)
+		}
+		channel.InterceptReach = func(from geom.Point, r float64) bool {
+			return prev != nil && (prevReach == nil || prevReach(from, r)) || inj.JamReaches(from, r)
 		}
 		bus.DropHook = func(hostid.ID) bool { return inj.PageDropped() }
 		inj.Start()

@@ -120,3 +120,45 @@ func TestRxCacheEquivalenceGenerated(t *testing.T) {
 		})
 	}
 }
+
+// TestInterceptReachEquivalence holds the per-frame reach question to
+// the BruteForce reference, which calls the Interceptor for every
+// in-range receiver of every frame. The generated dense-Manhattan shape
+// runs its obstacle map together with the jam-center plan on a 1500 m
+// side, so senders near the obstacle or the jammed centre are within
+// the composed hook's reach (and outside the jam window only the
+// obstacle's reach counts), while the rest are not: both kinds of frame
+// must occur, and the metrics and traces must match byte for byte.
+func TestInterceptReachEquivalence(t *testing.T) {
+	cfg := scenario.Default(scenario.ECGRID)
+	cfg.Hosts = 90
+	cfg.AreaSize = 1500
+	cfg.Duration = 60
+	cfg.Seed = 61
+	cfg.Gen = &scengen.Spec{
+		Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 4, StdDevM: 150},
+		Mobility:   &scengen.Mobility{Kind: scengen.MobilityManhattan, BlockM: 125},
+		Traffic:    &scengen.Traffic{Kind: scengen.TrafficOnOff, MeanOnS: 8, MeanOffS: 6},
+		Propagation: &scengen.Propagation{Obstacles: []scengen.Obstacle{
+			{MinX: 300, MinY: 200, MaxX: 340, MaxY: 800, Atten: 0.7},
+		}},
+	}
+	cfg.Faults = mustPreset("jam-center", cfg.Hosts, cfg.AreaSize, cfg.Duration)
+	r := Run(cfg)
+	if n, frames := r.RxCache.Intercepted, r.Radio.FramesSent; n == 0 || n >= frames {
+		t.Fatalf("%d of %d frames were within the hooks' reach: want some but not all", n, frames)
+	}
+	if r.Radio.Jammed == 0 {
+		t.Fatal("no reception was vetoed: the hooks exercised nothing")
+	}
+	t.Logf("%d of %d frames within the hooks' reach, %d receptions vetoed",
+		r.RxCache.Intercepted, r.Radio.FramesSent, r.Radio.Jammed)
+	ref := cfg
+	ref.Radio.BruteForce = true
+	indexed := fingerprint(cfg)
+	brute := fingerprint(ref)
+	if indexed != brute {
+		t.Fatalf("reach-gated scan diverged from brute-force reference — first divergence:\n%s",
+			firstDiff(indexed, brute))
+	}
+}

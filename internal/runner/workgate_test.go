@@ -65,21 +65,43 @@ func TestRunAllocationsBounded(t *testing.T) {
 // one that stops settling candidates from position snapshots reads
 // nearly every candidate live. For scale: under BruteForce every frame
 // examines the whole station table, 200 per frame.
+//
+// The soak case runs the dense-manhattan soak's geometry at 2000 hosts,
+// whose obstacles install an Interceptor: a frame out of every
+// obstacle's reach reads no snapshot-settled receiver live. Asking the
+// hook's reach for no frame (reading every in-range receiver live, as
+// when an Interceptor is installed and cannot say where it acts) reads
+// 7.70 per frame.
 func TestReceiverScanWorkBounded(t *testing.T) {
 	for _, tc := range []struct {
-		proto scenario.ProtocolKind
+		name string
+		cfg  func(t *testing.T) scenario.Config
 		// Measured candidates and live reads per frame.
 		candidates, liveReads float64
 	}{
-		{scenario.ECGRID, 66.46, 0.0474},
-		{scenario.GRID, 66.63, 0.1296},
+		{"ecgrid", func(*testing.T) scenario.Config { return workGateConfig(scenario.ECGRID) }, 66.46, 0.0474},
+		{"grid", func(*testing.T) scenario.Config { return workGateConfig(scenario.GRID) }, 66.63, 0.1296},
+		{"soak-2000", soakGateConfig, 35.80, 3.411},
 	} {
-		t.Run(string(tc.proto), func(t *testing.T) {
-			r := Run(workGateConfig(tc.proto))
+		t.Run(tc.name, func(t *testing.T) {
+			r := Run(tc.cfg(t))
 			checkPerFrame(t, "candidates", r, r.RxCache.Candidates, tc.candidates)
 			checkPerFrame(t, "live reads", r, r.RxCache.LiveReads, tc.liveReads)
 		})
 	}
+}
+
+// soakGateConfig is the dense-manhattan soak scenario (area, clusters,
+// street mobility, obstacles) at a fifth of its hosts, seed 1.
+func soakGateConfig(t *testing.T) scenario.Config {
+	t.Helper()
+	cfg, err := scenario.Load("../../scenarios/dense-manhattan-10k.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Hosts = 2000
+	cfg.Seed = 1
+	return cfg
 }
 
 // checkPerFrame fails t when run r's receiver scans counted more than

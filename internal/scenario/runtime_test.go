@@ -21,7 +21,7 @@ func TestExecutionFieldsStayOutOfEncodingAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"BruteForce", "NoRxCache", "Trace"} {
+	for _, field := range []string{"BruteForce", "Trace"} {
 		if strings.Contains(string(want), field) {
 			t.Fatalf("zero %s leaked into the encoding: %s", field, want)
 		}
@@ -29,7 +29,6 @@ func TestExecutionFieldsStayOutOfEncodingAndKey(t *testing.T) {
 
 	exec := def
 	exec.Radio.BruteForce = true
-	exec.Radio.NoRxCache = true
 	exec.Trace = trace.NewRecorder(1)
 	got, err := json.Marshal(exec)
 	if err != nil {

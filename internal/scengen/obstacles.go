@@ -39,6 +39,26 @@ func (m *ObstacleMap) Deliverable(baseRange float64, from, to geom.Point) bool {
 	return from.Dist2(to) <= eff*eff
 }
 
+// reachGuard (meters) pads Reaches' square against rounding in the
+// slab test, as the radio's drift bounds are padded (DESIGN §16).
+const reachGuard = 1e-3
+
+// Reaches reports whether some obstacle intersects the closed square
+// from ± (r + 1 mm). When none does, no sight line from `from` to a
+// point within r touches an obstacle, so Deliverable(r, from, to) is
+// true for every such point: the radio channel asks this once per frame
+// (radio.Channel.InterceptReach) and skips the per-receiver calls.
+func (m *ObstacleMap) Reaches(from geom.Point, r float64) bool {
+	h := r + reachGuard
+	for i := range m.obs {
+		o := &m.obs[i]
+		if o.MinX <= from.X+h && o.MaxX >= from.X-h && o.MinY <= from.Y+h && o.MaxY >= from.Y-h {
+			return true
+		}
+	}
+	return false
+}
+
 // segmentCrossesRect is the Cohen–Sutherland-style slab test: clip the
 // parameter interval of the segment against the rectangle's x and y
 // slabs and see whether a sub-interval survives. Touching the boundary

@@ -1,9 +1,11 @@
 package scengen
 
 import (
+	"math"
 	"testing"
 
 	"ecgrid/internal/geom"
+	"ecgrid/internal/sim"
 )
 
 func wall() *ObstacleMap {
@@ -87,5 +89,81 @@ func TestSegmentCrossings(t *testing.T) {
 		if got := segmentCrossesRect(c.a, c.b, o); got != c.want {
 			t.Errorf("%s: segmentCrossesRect = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestReachesTouchingSquare: Reaches is true exactly when an obstacle
+// meets the closed square from ± (r + reachGuard), a touching edge
+// included, on each of the four sides.
+func TestReachesTouchingSquare(t *testing.T) {
+	const r = 250.0
+	from := geom.Point{X: 1000, Y: 1000}
+	h := r + reachGuard
+	lo, hi := from.X-h, from.X+h // from.X == from.Y
+	for _, tc := range []struct {
+		name string
+		o    Obstacle
+		want bool
+	}{
+		{"touches east", Obstacle{MinX: hi, MinY: 900, MaxX: hi + 50, MaxY: 1100}, true},
+		{"clear of east", Obstacle{MinX: math.Nextafter(hi, math.Inf(1)), MinY: 900, MaxX: hi + 50, MaxY: 1100}, false},
+		{"touches west", Obstacle{MinX: lo - 50, MinY: 900, MaxX: lo, MaxY: 1100}, true},
+		{"clear of west", Obstacle{MinX: lo - 50, MinY: 900, MaxX: math.Nextafter(lo, math.Inf(-1)), MaxY: 1100}, false},
+		{"touches north", Obstacle{MinX: 900, MinY: hi, MaxX: 1100, MaxY: hi + 50}, true},
+		{"clear of north", Obstacle{MinX: 900, MinY: math.Nextafter(hi, math.Inf(1)), MaxX: 1100, MaxY: hi + 50}, false},
+		{"touches south", Obstacle{MinX: 900, MinY: lo - 50, MaxX: 1100, MaxY: lo}, true},
+		{"touches corner", Obstacle{MinX: hi, MinY: hi, MaxX: hi + 10, MaxY: hi + 10}, true},
+		{"beyond corner", Obstacle{MinX: hi, MinY: math.Nextafter(hi, math.Inf(1)), MaxX: hi + 10, MaxY: hi + 10}, false},
+		{"covers sender", Obstacle{MinX: 990, MinY: 990, MaxX: 1010, MaxY: 1010}, true},
+		// Inside the square but outside the range disc: reported, since
+		// the square is the promise, not the disc.
+		{"square corner only", Obstacle{MinX: 1200, MinY: 1200, MaxX: 1240, MaxY: 1240}, true},
+	} {
+		m := NewObstacleMap(&Propagation{Obstacles: []Obstacle{tc.o}})
+		if got := m.Reaches(from, r); got != tc.want {
+			t.Errorf("%s: Reaches = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if NewObstacleMap(&Propagation{}).Reaches(from, r) {
+		t.Error("an empty map reaches a sender")
+	}
+}
+
+// TestReachFalseMeansDeliverable: when Reaches rules a sender out, every
+// receiver within r of it is Deliverable at the base range, here on
+// random senders around two obstacles and receivers spread over the
+// disc, its rim included.
+func TestReachFalseMeansDeliverable(t *testing.T) {
+	const r = 250.0
+	m := NewObstacleMap(&Propagation{Obstacles: []Obstacle{
+		{MinX: 2200, MinY: 0, MaxX: 2300, MaxY: 3500, Atten: 0.6},
+		{MinX: 0, MinY: 4100, MaxX: 4000, MaxY: 4200, Atten: 1},
+	}})
+	rng := sim.NewRNG(7)
+	out, in := 0, 0
+	for i := 0; i < 4000; i++ {
+		from := geom.Point{X: rng.Uniform("x", 0, 5000), Y: rng.Uniform("y", 0, 5000)}
+		if m.Reaches(from, r) {
+			in++
+			continue
+		}
+		out++
+		for k := 0; k < 16; k++ {
+			a := rng.Uniform("angle", 0, 2*math.Pi)
+			d := r
+			if k%2 == 1 {
+				d = rng.Uniform("dist", 0, r)
+			}
+			to := geom.Point{X: from.X + d*math.Cos(a), Y: from.Y + d*math.Sin(a)}
+			if from.Dist2(to) > r*r {
+				continue // rounding pushed the rim point out of range
+			}
+			if !m.Deliverable(r, from, to) {
+				t.Fatalf("sender %v out of reach, yet %v (%.3f m away) is not deliverable", from, to, from.Dist(to))
+			}
+		}
+	}
+	if out == 0 || in == 0 {
+		t.Fatalf("%d senders out of reach, %d in reach: want both", out, in)
 	}
 }
