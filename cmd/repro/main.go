@@ -1,8 +1,8 @@
 // Command repro checks the paper's evaluation claims against fresh
 // simulation runs and prints a PASS/FAIL checklist — the repository's
-// reproduction status as a program. Claims are checked concurrently; the
-// simulations they share are deduplicated and capped by -parallel, and
-// the checklist prints in claim order regardless of completion order.
+// reproduction status as a program. Every claim declares the simulations
+// it needs; repro runs each distinct one once, -parallel at a time, and
+// prints the checklist in claim order regardless of completion order.
 //
 //	repro            # full horizons (a couple of minutes)
 //	repro -fast      # shrunken horizons
@@ -12,10 +12,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"ecgrid/internal/batch"
 	"ecgrid/internal/claims"
 	"ecgrid/internal/store"
 )
@@ -30,22 +32,21 @@ func main() {
 	)
 	flag.Parse()
 
-	env := claims.NewEnv(*seed, *fast)
-	env.Workers = *parallel
+	opt := batch.Options{Workers: *parallel}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		env.Store = st
+		opt.Store = st
 	}
 	if *verbose {
-		env.Progress = func(s string) { fmt.Fprintf(os.Stderr, "running %s\n", s) }
+		opt.Progress = batch.NewSink(func(s string) { fmt.Fprintf(os.Stderr, "running %s\n", s) })
 	}
 
 	all := claims.All()
-	verdicts := claims.CheckAll(env, all, *parallel)
+	verdicts := claims.Check(context.Background(), claims.NewEnv(*seed, *fast), all, opt)
 
 	failures := 0
 	for i, c := range all {

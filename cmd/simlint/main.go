@@ -91,18 +91,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simlint: %v\n", err)
 		return 2
 	}
+	return report(pkgs, diags, *dir, *baseline, *writeBase, stdout, stderr)
+}
+
+// report prints the diagnostics of packages loaded from dir and analysed,
+// writes or checks the baseline when one is named, and returns the exit
+// status.
+func report(pkgs []*lint.Package, diags []lint.Diagnostic, dir, baseline, writeBase string, stdout, stderr io.Writer) int {
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}
 
 	// Baseline paths resolve against -C like the package patterns do.
 	resolve := func(p string) string {
-		if *dir != "" && !filepath.IsAbs(p) {
-			return filepath.Join(*dir, p)
+		if dir != "" && !filepath.IsAbs(p) {
+			return filepath.Join(dir, p)
 		}
 		return p
 	}
-	root := *dir
+	root := dir
 	if root == "" {
 		root = "."
 	}
@@ -113,16 +120,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cur := buildSummary(pkgs, diags, baseDir)
 
-	if *writeBase != "" {
-		if err := writeBaseline(resolve(*writeBase), cur); err != nil {
+	if writeBase != "" {
+		if err := writeBaseline(resolve(writeBase), cur); err != nil {
 			fmt.Fprintf(stderr, "simlint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "simlint: wrote %d baseline entries to %s\n", len(cur), *writeBase)
+		fmt.Fprintf(stderr, "simlint: wrote %d baseline entries to %s\n", len(cur), writeBase)
 		return 0
 	}
-	if *baseline != "" {
-		base, err := readBaseline(resolve(*baseline))
+	if baseline != "" {
+		base, err := readBaseline(resolve(baseline))
 		if err != nil {
 			fmt.Fprintf(stderr, "simlint: %v\n", err)
 			return 2
@@ -132,10 +139,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, line := range drift {
 				fmt.Fprintln(stdout, line)
 			}
-			fmt.Fprintf(stderr, "simlint: %d baseline drift line(s); regenerate with -write-baseline %s after review\n", len(drift), *baseline)
+			fmt.Fprintf(stderr, "simlint: %d baseline drift line(s); regenerate with -write-baseline %s after review\n", len(drift), baseline)
 			return 1
 		}
-		fmt.Fprintf(stderr, "simlint: %d finding(s) in %d package(s), all accounted for in %s\n", len(diags), len(pkgs), *baseline)
+		fmt.Fprintf(stderr, "simlint: %d finding(s) in %d package(s), all accounted for in %s\n", len(diags), len(pkgs), baseline)
 		return 0
 	}
 

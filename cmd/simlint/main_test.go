@@ -5,7 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"ecgrid/internal/lint"
 )
 
 // TestRegistersFullSuite pins the driver's registry: every analyzer of
@@ -133,8 +136,9 @@ func TestRepoMatchesCommittedBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repo from source")
 	}
+	pkgs, diags := analyzeRepo(t)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", "../..", "-baseline", ".simlint-baseline", "./..."}, &stdout, &stderr); code != 0 {
+	if code := report(pkgs, diags, repoDir, ".simlint-baseline", "", &stdout, &stderr); code != 0 {
 		t.Fatalf("baseline drift: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 }
@@ -145,8 +149,37 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repo from source")
 	}
+	pkgs, diags := analyzeRepo(t)
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", "../..", "./..."}, &stdout, &stderr); code != 0 {
+	if code := report(pkgs, diags, repoDir, "", "", &stdout, &stderr); code != 0 {
 		t.Fatalf("simlint over the repo: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
+}
+
+// repoDir is the module root, relative to this package.
+const repoDir = "../.."
+
+// repo is the whole repo loaded and analysed by the full suite, as
+// `simlint -C ../.. ./...` does, once per test binary: type-checking
+// every package from source is most of this package's test time, and
+// the repo tests only read the result.
+var repo struct {
+	once  sync.Once
+	pkgs  []*lint.Package
+	diags []lint.Diagnostic
+	err   error
+}
+
+func analyzeRepo(t *testing.T) ([]*lint.Package, []lint.Diagnostic) {
+	t.Helper()
+	repo.once.Do(func() {
+		repo.pkgs, repo.err = lint.Load(lint.LoadConfig{Dir: repoDir}, "./...")
+		if repo.err == nil {
+			repo.diags, repo.err = lint.Run(repo.pkgs, analyzers())
+		}
+	})
+	if repo.err != nil {
+		t.Fatalf("simlint: %v", repo.err)
+	}
+	return repo.pkgs, repo.diags
 }

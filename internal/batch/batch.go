@@ -20,9 +20,12 @@
 //   - context.Context cancellation and a goroutine-safe progress Sink
 //     that serializes lines from concurrent workers.
 //
-// Run executes a job list known up front; Executor accepts jobs
-// discovered dynamically (cmd/repro's claims) and deduplicates identical
-// submissions.
+// Run executes a job list known up front: callers plan their runs
+// (cmd/figures and cmd/sweep per figure or sweep, cmd/repro per claim,
+// deduplicated by Key), run them and fold the results. RunOnce is one
+// run with neither store nor pool, for callers that keep results
+// themselves (internal/server). Executor is deprecated and kept only for
+// the bench module.
 package batch
 
 import (
@@ -232,8 +235,8 @@ func execute(tag, key string, cfg scenario.Config, opt Options) (*runner.Results
 
 // RunOnce executes a single simulation, converting a panic into a
 // *PanicError with the captured stack. It neither reads nor writes a
-// store: callers that keep results (Run, Executor, internal/server) do
-// that themselves.
+// store: callers that keep results (Run, internal/server) do that
+// themselves.
 func RunOnce(cfg scenario.Config) (res *runner.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -10,9 +10,7 @@ import (
 
 // Executor runs configs submitted one at a time, from any goroutine,
 // through a shared worker pool. Where Run wants the whole job list up
-// front, Executor serves consumers that discover their runs dynamically
-// — cmd/repro's claims each request the simulations they need from
-// inside their check functions.
+// front, Executor serves consumers that discover their runs dynamically.
 //
 // Submissions are deduplicated by content key: concurrent and repeated
 // submissions of the same canonical config share one execution, and
@@ -24,6 +22,10 @@ import (
 // persistent store, so identical submissions across executor (and
 // process) lifetimes run once ever. Panic isolation and the progress
 // sink behave exactly as in Run.
+//
+// Deprecated: nothing in this module submits runs dynamically any more;
+// plan the runs and use Run. Executor stays only because the bench
+// module's traced simd mode builds one.
 type Executor struct {
 	ctx context.Context
 	opt Options
@@ -43,6 +45,8 @@ type call struct {
 // NewExecutor returns an executor whose workers, progress, and store
 // come from opt. Cancelling ctx fails pending and future submissions
 // with the context's error.
+//
+// Deprecated: plan the runs and use Run; see Executor.
 func NewExecutor(ctx context.Context, opt Options) *Executor {
 	return &Executor{
 		ctx:   ctx,
@@ -73,6 +77,8 @@ func (x *Executor) Run(tag string, cfg scenario.Config) (*runner.Results, error)
 // inheriting a stale cancellation error. Failures from an actual
 // execution stay cached for the executor's lifetime: the simulator is
 // deterministic, so re-running the same config would fail identically.
+//
+// Deprecated: plan the runs and use Run; see Executor.
 func (x *Executor) RunCtx(ctx context.Context, tag string, cfg scenario.Config) (*runner.Results, error) {
 	key := Key(cfg)
 	x.mu.Lock()

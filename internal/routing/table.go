@@ -21,76 +21,96 @@ type Entry struct {
 	UpdatedAt float64
 }
 
-// Table is a grid routing table with per-entry TTL expiry. The zero value
-// is not usable; construct with NewTable.
-type Table struct {
-	ttl     float64
-	entries map[hostid.ID]Entry
+func (e Entry) route() (hostid.ID, uint32, int, float64) { return e.Dst, e.Seq, e.Hops, e.UpdatedAt }
+
+func (e Entry) stamped(now float64) Entry {
+	e.UpdatedAt = now
+	return e
 }
 
-// NewTable creates a table whose entries expire ttl seconds after their
-// last update. A non-positive ttl disables expiry. Its map is made on
-// the first Update.
-func NewTable(ttl float64) *Table {
-	return &Table{ttl: ttl}
+// row is a routing-table row type, Entry or AODVEntry: the table reads
+// its destination and freshness and restamps it on update.
+type row[R any] interface {
+	route() (dst hostid.ID, seq uint32, hops int, updatedAt float64)
+	stamped(now float64) R
+}
+
+// table holds the TTL expiry and freshness rules of both routing tables;
+// only the row type differs. Its map is made on the first Update.
+type table[R row[R]] struct {
+	ttl     float64
+	entries map[hostid.ID]R
 }
 
 // Lookup returns the live entry for dst. Expired entries are removed and
 // reported absent.
-func (t *Table) Lookup(dst hostid.ID, now float64) (Entry, bool) {
+func (t *table[R]) Lookup(dst hostid.ID, now float64) (R, bool) {
 	e, ok := t.entries[dst]
-	if !ok {
-		return Entry{}, false
-	}
-	if t.expired(e, now) {
+	if ok && t.expired(e, now) {
 		delete(t.entries, dst)
-		return Entry{}, false
+		ok = false
+	}
+	if !ok {
+		var none R
+		return none, false
 	}
 	return e, true
 }
 
-func (t *Table) expired(e Entry, now float64) bool {
-	return t.ttl > 0 && now-e.UpdatedAt > t.ttl
+func (t *table[R]) expired(e R, now float64) bool {
+	_, _, _, at := e.route()
+	return t.ttl > 0 && now-at > t.ttl
 }
 
 // Update installs e if it is fresher than the existing entry: a higher
 // sequence number always wins; an equal sequence wins with fewer hops; an
 // expired or missing entry is always replaced. It reports whether the
 // table changed.
-func (t *Table) Update(e Entry, now float64) bool {
-	e.UpdatedAt = now
-	old, ok := t.entries[e.Dst]
+func (t *table[R]) Update(e R, now float64) bool {
+	e = e.stamped(now)
+	dst, seq, hops, _ := e.route()
+	old, ok := t.entries[dst]
 	if ok && !t.expired(old, now) {
-		if e.Seq < old.Seq {
+		_, oldSeq, oldHops, _ := old.route()
+		if seq < oldSeq {
 			return false
 		}
-		if e.Seq == old.Seq && e.Hops > old.Hops {
+		if seq == oldSeq && hops > oldHops {
 			return false
 		}
 	}
 	if t.entries == nil {
-		t.entries = make(map[hostid.ID]Entry)
+		t.entries = make(map[hostid.ID]R)
 	}
-	t.entries[e.Dst] = e
+	t.entries[dst] = e
 	return true
 }
 
 // Touch refreshes the TTL of dst's entry if present (used when a route
 // forwards traffic successfully).
-func (t *Table) Touch(dst hostid.ID, now float64) {
+func (t *table[R]) Touch(dst hostid.ID, now float64) {
 	if e, ok := t.entries[dst]; ok && !t.expired(e, now) {
-		e.UpdatedAt = now
-		t.entries[dst] = e
+		t.entries[dst] = e.stamped(now)
 	}
 }
 
 // Remove deletes the entry for dst.
-func (t *Table) Remove(dst hostid.ID) {
+func (t *table[R]) Remove(dst hostid.ID) {
 	delete(t.entries, dst)
 }
 
 // Len returns the number of stored (possibly stale) entries.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *table[R]) Len() int { return len(t.entries) }
+
+// Table is a grid routing table with per-entry TTL expiry. The zero value
+// is not usable; construct with NewTable.
+type Table struct{ table[Entry] }
+
+// NewTable creates a table whose entries expire ttl seconds after their
+// last update. A non-positive ttl disables expiry.
+func NewTable(ttl float64) *Table {
+	return &Table{table[Entry]{ttl: ttl}}
+}
 
 // Snapshot returns the live entries sorted by destination, for transfer
 // in RETIRE/TRANSFER messages. The returned slice is owned by the caller.

@@ -27,7 +27,9 @@
 //
 // # Determinism
 //
-// Nearby returns candidates sorted by host ID, so iteration order is a
+// NearbyAppend returns candidates in cell-scan order, which depends on
+// bucketing history; its caller (the radio channel) imposes host-ID
+// order before anything decides on them, so what a simulation sees is a
 // pure function of the tracked population and the query — never of map
 // hash order or insertion history. Buckets themselves are slices;
 // nothing in this package ranges over a map. Re-bucket events touch no
@@ -38,10 +40,8 @@
 package spatial
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"ecgrid/internal/geom"
 	"ecgrid/internal/hostid"
@@ -81,7 +81,7 @@ type entry[T any] struct {
 	rebucketFn func()
 }
 
-// Candidate is one Nearby result.
+// Candidate is one NearbyAppend result.
 type Candidate[T any] struct {
 	ID      hostid.ID
 	Payload T
@@ -244,22 +244,13 @@ func (ix *Index[T]) rebucket(e *entry[T]) {
 	ix.scheduleRebucket(e)
 }
 
-// Nearby appends to dst every tracked host whose position may be within
-// radius of p — a guaranteed superset of the hosts truly in range — and
-// returns dst sorted by host ID. The caller owns the exact distance
-// check and should pass a recycled dst[:0] to keep the query
-// allocation-free.
-func (ix *Index[T]) Nearby(p geom.Point, radius float64, dst []Candidate[T]) []Candidate[T] {
-	dst = ix.NearbyAppend(p, radius, dst)
-	slices.SortFunc(dst, func(a, b Candidate[T]) int { return cmp.Compare(a.ID, b.ID) })
-	return dst
-}
-
-// NearbyAppend is Nearby without the sort: candidates are appended in
-// cell-scan order, which depends on bucketing history and must not leak
-// into simulation decisions. Callers that need determinism (the radio
-// channel) impose host-ID order themselves; everyone else should use
-// Nearby.
+// NearbyAppend appends to dst every tracked host whose position may be
+// within radius of p — a guaranteed superset of the hosts truly in
+// range — and returns dst. The caller owns the exact distance check and
+// should pass a recycled dst[:0] to keep the query allocation-free.
+// Candidates come in cell-scan order, which depends on bucketing history
+// and must not leak into simulation decisions: callers that need
+// determinism (the radio channel) impose host-ID order themselves.
 //
 // The scan walks, row by row, the cells within reach of the query disc
 // — the per-row column span shrinks by the circle equation, skipping

@@ -1,7 +1,9 @@
 package spatial
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"ecgrid/internal/geom"
@@ -21,6 +23,15 @@ func (r *lcg) next() float64 {
 
 // never is the NextExit oracle of a host that provably stays put.
 func never(float64, geom.Rect) float64 { return math.Inf(1) }
+
+// nearby is NearbyAppend sorted by host ID, the order the radio channel
+// imposes; after the sort, a strictly increasing ID sequence also shows
+// that no host was returned twice.
+func nearby[T any](ix *Index[T], p geom.Point, radius float64, dst []Candidate[T]) []Candidate[T] {
+	dst = ix.NearbyAppend(p, radius, dst)
+	slices.SortFunc(dst, func(a, b Candidate[T]) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
+}
 
 // bruteNearby is the reference the index is checked against: the exact
 // in-range set by linear scan.
@@ -53,7 +64,7 @@ func TestNearbySupersetAndSorted(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := geom.Point{X: rng.next()*1400 - 200, Y: rng.next()*1400 - 200}
 		radius := 50 + rng.next()*300
-		dst = ix.Nearby(q, radius, dst[:0])
+		dst = nearby(ix, q, radius, dst[:0])
 
 		got := make(map[hostid.ID]bool)
 		for i, cd := range dst {
@@ -91,7 +102,7 @@ func TestMovingHostRebuckets(t *testing.T) {
 		at := at
 		engine.At(at, func() {
 			p := pos()
-			got := ix.Nearby(p, 30, nil)
+			got := nearby(ix, p, 30, nil)
 			found := false
 			for _, cd := range got {
 				if cd.ID == 2 {
@@ -115,7 +126,7 @@ func TestRemoveStopsTracking(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d after Remove, want 0", ix.Len())
 	}
-	if got := ix.Nearby(geom.Point{X: 5, Y: 5}, 50, nil); len(got) != 0 {
+	if got := nearby(ix, geom.Point{X: 5, Y: 5}, 50, nil); len(got) != 0 {
 		t.Fatalf("removed host still returned: %v", got)
 	}
 	ix.Remove(1) // unknown ID: must be a no-op
@@ -167,7 +178,7 @@ func TestGridGrowth(t *testing.T) {
 		}
 	}
 	for hid, p := range pts {
-		got := ix.Nearby(p, 1, nil)
+		got := nearby(ix, p, 1, nil)
 		found := false
 		for _, cd := range got {
 			found = found || cd.ID == hid
