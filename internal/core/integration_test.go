@@ -481,3 +481,5 @@ type constVel struct {
 
 func (m constVel) Position(t float64) geom.Point  { return m.from.Add(m.v.Scale(t)) }
 func (m constVel) Velocity(t float64) geom.Vector { return m.v }
+func (m constVel) NextTurn(float64) float64       { return math.Inf(1) }
+func (m constVel) MaxSpeedMS() float64            { return m.v.Len() }

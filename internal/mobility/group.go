@@ -11,9 +11,9 @@ import (
 // trajectory, and each member adds its own small local motion around
 // that moving reference. The composition of two piecewise-linear
 // trajectories is piecewise linear with knots at the union of their
-// knots, so a GroupMember is TurnAware and the NextRectExit oracle
-// walks it analytically, leg by leg, exactly as it walks the primitive
-// models.
+// knots, so GroupMember.NextTurn is the earlier of the two next knots
+// and the NextRectExit oracle walks it analytically, leg by leg, exactly
+// as it walks the primitive models.
 //
 // The caller keeps member positions inside the simulation area by
 // running the reference waypoint over the area inset by the group
@@ -84,7 +84,7 @@ func (g *GroupMember) Velocity(t float64) geom.Vector {
 	return geom.Vector{DX: v.DX + w.DX, DY: v.DY + w.DY}
 }
 
-// NextTurn implements TurnAware: the earlier of the reference's and the
+// NextTurn implements Model: the earlier of the reference's and the
 // local motion's next course change — between two such knots both
 // components are constant-velocity, so the summed trajectory is a
 // straight leg.

@@ -82,47 +82,3 @@ func TestGroupMemberVelocityIsDerivative(t *testing.T) {
 		}
 	}
 }
-
-// TestNextRectExitConservativeGenerated mirrors the waypoint/direction
-// conservativeness property test for the two generated-scenario models:
-// at every sampled instant strictly before the reported exit the host
-// must still be inside the rectangle. This is the contract that lets
-// the spatial index trust the models for event-driven re-bucketing.
-func TestNextRectExitConservativeGenerated(t *testing.T) {
-	_, members := newGroup(13)
-	models := map[string]Model{
-		"manhattan": newManhattan(41, 60, 14, 0.5),
-		"group":     members[0],
-	}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
-			const horizon = 600.0
-			u := 0.0
-			for u < horizon {
-				pos := m.Position(u)
-				rect := geom.NewRect(
-					geom.Point{X: pos.X - 35, Y: pos.Y - 35},
-					geom.Point{X: pos.X + 35, Y: pos.Y + 35},
-				)
-				exit := NextRectExit(m, u, rect, u+horizon)
-				if exit < u {
-					t.Fatalf("t=%v: exit %v in the past", u, exit)
-				}
-				for i := 0; i < 32; i++ {
-					s := u + (exit-u-2*eps)*float64(i)/32
-					if s < u {
-						break
-					}
-					if p := m.Position(s); !rect.Contains(p) {
-						t.Fatalf("t=%v: position %v outside rect %v at %v, before reported exit %v",
-							u, p, rect, s, exit)
-					}
-				}
-				if exit <= u {
-					exit = u + 0.5
-				}
-				u = exit + 1
-			}
-		})
-	}
-}

@@ -12,8 +12,9 @@ import "ecgrid/internal/geom"
 //
 // Like the other stochastic models it is deterministic given its random
 // source, and it reuses the waypoint leg machinery: movement is a lazily
-// generated, contiguous sequence of constant-velocity legs, so the model
-// is TurnAware and the NextRectExit oracle walks it analytically.
+// generated, contiguous sequence of constant-velocity legs, so NextTurn
+// is the end of the current leg and the NextRectExit oracle walks the
+// model analytically.
 type Manhattan struct {
 	origin geom.Point // lattice origin (area minimum)
 	block  float64
@@ -183,7 +184,7 @@ func (m *Manhattan) Velocity(t float64) geom.Vector {
 	return m.legAt(t).velocityAt(t)
 }
 
-// NextTurn implements TurnAware: the arrival at the next intersection
+// NextTurn implements Model: the arrival at the next intersection
 // while moving, the end of the pause while stopped.
 func (m *Manhattan) NextTurn(t float64) float64 {
 	l := m.legAt(t)

@@ -4,16 +4,21 @@
 // travels there in a straight line, pauses for a fixed pause time, and
 // repeats.
 //
-// The package also provides the two position-derived quantities protocol
-// code needs:
+// Every Model answers the same four questions: position, velocity, the
+// end of the current straight leg (NextTurn) and a speed bound for the
+// whole run (MaxSpeedMS). On top of them the package provides the
+// position-derived quantities the simulator needs:
 //
 //   - EstimateDwell: the paper's GPS-based estimate of how long the host
-//     will remain in its current grid cell, computed from instantaneous
-//     location and velocity only (a host cannot see its own future
-//     waypoints). Sleeping hosts set their wake timers from this value.
+//     will remain in its current grid cell, extrapolated from its
+//     instantaneous location and velocity and trusted no further than
+//     its own next course change (a host cannot see the waypoints after
+//     it). Sleeping hosts set their wake timers from this value.
 //   - NextCellChange: the exact simulation time at which the host's grid
 //     cell next changes, used by the simulator to drive grid entry/exit
 //     events.
+//   - NextRectExit: a never-late bound on when the host may leave a
+//     rectangle, the spatial index's re-bucketing oracle.
 package mobility
 
 import (
@@ -23,15 +28,31 @@ import (
 	"ecgrid/internal/grid"
 )
 
-// Model yields a host's position and velocity as functions of time.
-// Implementations must be consistent: Position must be continuous and
-// Velocity its derivative wherever defined.
+// Model yields a host's position and velocity as functions of time, and
+// the two facts a host knows about its own movement plan: when its
+// current straight leg ends and how fast it can ever go.
+// Implementations must be consistent: Position must be continuous,
+// Velocity its derivative wherever defined, and Velocity constant on
+// [t, NextTurn(t)).
 type Model interface {
 	// Position returns the host location at time t.
 	Position(t float64) geom.Point
 	// Velocity returns the instantaneous velocity at time t. During a
 	// pause it is the zero vector.
 	Velocity(t float64) geom.Vector
+	// NextTurn returns the time at which the current straight leg (or
+	// pause) ends, or +Inf if the host never changes course again. A
+	// host choosing a sleep duration uses it so the linear dwell
+	// extrapolation is never trusted past the point where the host
+	// itself will change course.
+	NextTurn(t float64) float64
+	// MaxSpeedMS returns an upper bound, in meters per second, on the
+	// instantaneous speed at every time ≥ 0. The bound must cover legs
+	// not yet generated — every draw the model will ever make — because
+	// consumers (the radio channel's receiver scan, a host's cell memo)
+	// use it to bound position drift between two instants without
+	// materializing the path in between.
+	MaxSpeedMS() float64
 }
 
 // Stationary is a host that never moves. Used in tests and for fixed
@@ -45,6 +66,9 @@ func (s Stationary) Position(float64) geom.Point { return s.At }
 
 // Velocity returns the zero vector.
 func (s Stationary) Velocity(float64) geom.Vector { return geom.Vector{} }
+
+// NextTurn returns +Inf: a stationary host never changes course.
+func (s Stationary) NextTurn(float64) float64 { return math.Inf(1) }
 
 // randSource is the subset of math/rand used by the waypoint generator.
 type randSource interface {
@@ -173,7 +197,7 @@ func (w *RandomWaypoint) Velocity(t float64) geom.Vector {
 	return w.legAt(t).velocityAt(t)
 }
 
-// NextTurn implements TurnAware: while moving it returns the arrival time
+// NextTurn implements Model: while moving it returns the arrival time
 // at the current waypoint; while paused, the end of the pause.
 func (w *RandomWaypoint) NextTurn(t float64) float64 {
 	l := w.legAt(t)
@@ -183,31 +207,20 @@ func (w *RandomWaypoint) NextTurn(t float64) float64 {
 	return l.pauseEnd
 }
 
-// TurnAware is implemented by mobility models whose hosts know their own
-// movement plan: NextTurn returns the time at which the current straight
-// leg (or pause) ends. A host choosing a sleep duration uses it so the
-// linear dwell extrapolation is never trusted past the point where the
-// host itself will change course.
-type TurnAware interface {
-	NextTurn(t float64) float64
-}
-
 // EstimateDwell is the paper's dwell-duration estimate: how long the host
 // expects to stay inside its current grid cell, extrapolating its current
 // position along its current velocity. The extrapolation is only valid
-// until the host's next course change, so TurnAware models are re-checked
-// there. A paused host (zero velocity) cannot see beyond its pause, so
-// the estimate is capped at maxDwell; the protocol re-checks and
+// until the host's next course change, so the host re-checks there. A
+// paused host (zero velocity) cannot see beyond its pause, so the
+// estimate is capped at maxDwell; the protocol re-checks and
 // re-estimates when the timer expires, exactly as §3.2 prescribes.
 func EstimateDwell(m Model, t float64, p *grid.Partition, maxDwell float64) float64 {
 	pos := m.Position(t)
 	vel := m.Velocity(t)
 	bounds := p.Bounds(p.CellOf(pos))
 	exit := rayExitTime(pos, vel, bounds)
-	if ta, ok := m.(TurnAware); ok {
-		if turn := ta.NextTurn(t) - t; turn >= 0 && turn < exit {
-			exit = turn
-		}
+	if turn := m.NextTurn(t) - t; turn >= 0 && turn < exit {
+		exit = turn
 	}
 	if exit > maxDwell {
 		return maxDwell

@@ -207,6 +207,8 @@ type linearModel struct {
 
 func (l linearModel) Position(t float64) geom.Point  { return l.from.Add(l.v.Scale(t)) }
 func (l linearModel) Velocity(t float64) geom.Vector { return l.v }
+func (l linearModel) NextTurn(float64) float64       { return math.Inf(1) }
+func (l linearModel) MaxSpeedMS() float64            { return l.v.Len() }
 
 func TestNextCellChangeExact(t *testing.T) {
 	p := testPartition()

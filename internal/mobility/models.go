@@ -148,7 +148,7 @@ func reflectSign(x, lo, hi float64) float64 {
 	return 1
 }
 
-// NextTurn implements TurnAware: movement direction is constant until the
+// NextTurn implements Model: movement direction is constant until the
 // epoch ends or the next border reflection, whichever is earlier.
 func (m *RandomDirection) NextTurn(t float64) float64 {
 	l := m.legAt(t)
@@ -221,7 +221,7 @@ func (s *ScriptedPath) Velocity(t float64) geom.Vector {
 	return d.Scale(1 / (s.times[i] - s.times[i-1]))
 }
 
-// NextTurn implements TurnAware: the next waypoint time.
+// NextTurn implements Model: the next waypoint time.
 func (s *ScriptedPath) NextTurn(t float64) float64 {
 	for _, u := range s.times {
 		if u > t {

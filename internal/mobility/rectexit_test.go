@@ -29,28 +29,24 @@ func TestLegMemoMatchesFreshModel(t *testing.T) {
 		}
 	}
 
-	type legModel interface {
-		Model
-		TurnAware
-	}
 	cases := []struct {
 		name   string
-		mk     func() legModel
-		legCap func(legModel) int
+		mk     func() Model
+		legCap func(Model) int
 	}{
 		{"waypoint",
-			func() legModel { return newRWP(7, 12, 3) },
-			func(m legModel) int { return cap(m.(*RandomWaypoint).legs) }},
+			func() Model { return newRWP(7, 12, 3) },
+			func(m Model) int { return cap(m.(*RandomWaypoint).legs) }},
 		{"direction",
-			func() legModel {
+			func() Model {
 				return NewRandomDirection(testArea(), geom.Point{X: 500, Y: 500}, 8, 15, 2, rand.New(rand.NewSource(11)))
 			},
-			func(m legModel) int { return cap(m.(*RandomDirection).legs) }},
+			func(m Model) int { return cap(m.(*RandomDirection).legs) }},
 		{"manhattan",
-			func() legModel {
+			func() Model {
 				return NewManhattan(testArea(), geom.Point{X: 437, Y: 291}, 100, 12, 3, rand.New(rand.NewSource(13)))
 			},
-			func(m legModel) int { return cap(m.(*Manhattan).legs) }},
+			func(m Model) int { return cap(m.(*Manhattan).legs) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -93,33 +89,70 @@ func TestNextRectExitStationary(t *testing.T) {
 	}
 }
 
+// walkModels are the models the NextRectExit walk serves: the four the
+// runner and the scenario generator build, a host standing still and
+// one drifting in a straight line forever (a finite exit with no turn
+// ahead). mk builds a fresh model from a seed; seed and half are
+// TestNextRectExitConservative's seed and rect half-width (m).
+var walkModels = []struct {
+	name string
+	mk   func(seed int64) Model
+	seed int64
+	half float64
+}{
+	{"waypoint", func(seed int64) Model { return newRWP(seed, 15, 2) }, 21, 40},
+	{"direction", func(seed int64) Model {
+		return NewRandomDirection(testArea(), geom.Point{X: 200, Y: 700}, 10, 20, 1, rand.New(rand.NewSource(seed)))
+	}, 5, 40},
+	{"manhattan", func(seed int64) Model { return newManhattan(seed, 60, 14, 0.5) }, 41, 35},
+	{"group", func(seed int64) Model { _, members := newGroup(seed); return members[0] }, 13, 35},
+	{"stationary", func(seed int64) Model {
+		r := rand.New(rand.NewSource(seed))
+		return Stationary{At: geom.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}}
+	}, 1, 40},
+	{"drift", func(seed int64) Model {
+		r := rand.New(rand.NewSource(seed))
+		return driftModel{v: geom.Vector{DX: r.Float64()*20 - 10, DY: r.Float64()*20 - 10}}
+	}, 3, 40},
+}
+
+// driftModel moves in a straight line from the origin forever.
+type driftModel struct{ v geom.Vector }
+
+func (d driftModel) Position(t float64) geom.Point {
+	return geom.Point{X: d.v.DX * t, Y: d.v.DY * t}
+}
+func (d driftModel) Velocity(float64) geom.Vector { return d.v }
+func (d driftModel) NextTurn(float64) float64     { return math.Inf(1) }
+func (d driftModel) MaxSpeedMS() float64          { return d.v.Len() }
+
+// square is the rect of half-width half centered on p.
+func square(p geom.Point, half float64) geom.Rect {
+	return geom.NewRect(geom.Point{X: p.X - half, Y: p.Y - half}, geom.Point{X: p.X + half, Y: p.Y + half})
+}
+
 // TestNextRectExitConservative is the oracle's contract: at every
 // sampled instant strictly before the reported exit, the host is still
-// inside the rectangle. Checked for the analytic (TurnAware) walk and
-// the sampling fallback alike.
+// inside the rectangle. Each walk model is queried from a chain of
+// instants, every rect centered on the host's position there.
 func TestNextRectExitConservative(t *testing.T) {
-	models := map[string]Model{
-		"waypoint":  newRWP(21, 15, 2),
-		"direction": NewRandomDirection(testArea(), geom.Point{X: 200, Y: 700}, 10, 20, 1, rand.New(rand.NewSource(5))),
-	}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
+	for _, wm := range walkModels {
+		t.Run(wm.name, func(t *testing.T) {
+			m := wm.mk(wm.seed)
 			const horizon = 600.0
 			u := 0.0
 			for u < horizon {
-				pos := m.Position(u)
-				rect := geom.NewRect(
-					geom.Point{X: pos.X - 40, Y: pos.Y - 40},
-					geom.Point{X: pos.X + 40, Y: pos.Y + 40},
-				)
+				rect := square(m.Position(u), wm.half)
 				exit := NextRectExit(m, u, rect, u+horizon)
 				if exit < u {
 					t.Fatalf("t=%v: exit %v in the past", u, exit)
 				}
-				// Sample the open interval [u, exit): the position must not
-				// have left the rect yet (tolerating the walk's eps nudge).
+				// Sample the open interval [u, exit), up to the horizon
+				// when the host never leaves: the position must not have
+				// left the rect yet (tolerating the walk's eps nudge).
+				end := math.Min(exit, u+horizon)
 				for i := 0; i < 32; i++ {
-					s := u + (exit-u-2*eps)*float64(i)/32
+					s := u + (end-u-2*eps)*float64(i)/32
 					if s < u {
 						break
 					}
@@ -137,26 +170,58 @@ func TestNextRectExitConservative(t *testing.T) {
 	}
 }
 
-// TestNextRectExitFallback exercises the sampling path with a model
-// that is deliberately not TurnAware.
-type driftModel struct{ v geom.Vector }
-
-func (d driftModel) Position(t float64) geom.Point {
-	return geom.Point{X: d.v.DX * t, Y: d.v.DY * t}
+// firstSample returns the first instant from + k·step (k ≥ 0) up to to
+// at which hit holds, or +Inf if there is none: the fixed-step
+// reference an analytic walk over a model's legs is checked against.
+func firstSample(from, to, step float64, hit func(s float64) bool) float64 {
+	for k := 0; ; k++ {
+		s := from + float64(k)*step
+		if s > to {
+			return math.Inf(1)
+		}
+		if hit(s) {
+			return s
+		}
+	}
 }
-func (d driftModel) Velocity(float64) geom.Vector { return d.v }
 
-func TestNextRectExitFallback(t *testing.T) {
-	m := driftModel{v: geom.Vector{DX: 2, DY: 0}} // crosses x=10 at t=5
-	rect := geom.NewRect(geom.Point{X: -10, Y: -10}, geom.Point{X: 10, Y: 10})
-	exit := NextRectExit(m, 0, rect, 100)
-	if exit > 5 || exit < 4 {
-		t.Fatalf("fallback exit = %v, want just below the true crossing at 5", exit)
+// FuzzNextRectExit checks NextRectExit against the 1 ms-step reference
+// on a walk model, seed, query time and rect half-width taken from the
+// inputs, the rect centered on the host's position at the query time.
+// The answer is never later than the first sample outside the rect
+// (give or take the walk's eps nudge at a turn), it lies in [t,
+// horizon] unless it is +Inf, and it is +Inf only for a host that
+// stands still and never turns again.
+func FuzzNextRectExit(f *testing.F) {
+	for k, wm := range walkModels {
+		f.Add(uint8(k), wm.seed, 37.5+float64(k)*101, wm.half)
 	}
-	// Confined forever within the horizon: must report the horizon, not +Inf,
-	// so the caller re-checks.
-	still := driftModel{}
-	if got := NextRectExit(still, 0, rect, 100); got != 100 {
-		t.Fatalf("confined fallback exit = %v, want horizon 100", got)
-	}
+	f.Add(uint8(0), int64(7), 0.0, 1.0)
+	f.Fuzz(func(t *testing.T, kind uint8, seed int64, at, half float64) {
+		// Fold the query time into [0, 1000) s and the half-width into
+		// [1, 200) m.
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			at = 0
+		}
+		if math.IsNaN(half) || math.IsInf(half, 0) {
+			half = 0
+		}
+		at = math.Mod(math.Abs(at), 1000)
+		half = 1 + math.Mod(math.Abs(half), 199)
+		const window = 20.0
+		wm := walkModels[int(kind)%len(walkModels)]
+		m := wm.mk(seed)
+		rect := square(m.Position(at), half)
+		exit := NextRectExit(m, at, rect, at+window)
+		if !(exit >= at) || (exit > at+window && !math.IsInf(exit, 1)) {
+			t.Fatalf("%s: exit %v outside [%v, %v] and not +Inf", wm.name, exit, at, at+window)
+		}
+		out := firstSample(at, at+window, 1e-3, func(s float64) bool { return !rect.Contains(m.Position(s)) })
+		if exit > out+2*eps {
+			t.Fatalf("%s: exit %v, but the host is at %v, outside %v, at %v", wm.name, exit, m.Position(out), rect, out)
+		}
+		if math.IsInf(exit, 1) && (m.Velocity(at) != geom.Vector{} || !math.IsInf(m.NextTurn(at), 1)) {
+			t.Fatalf("%s: exit +Inf for a host moving at %v with its next turn at %v", wm.name, m.Velocity(at), m.NextTurn(at))
+		}
+	})
 }

@@ -2,28 +2,6 @@ package mobility
 
 import "math"
 
-// SpeedBound is an optional Model extension: models that can bound their
-// own instantaneous speed for the entire run implement it. The bound
-// must cover legs not yet generated — every draw the model will ever
-// make, not just the history so far — because consumers (the radio
-// channel's receiver scan) use it to bound position drift between two
-// instants without materializing the path in between.
-type SpeedBound interface {
-	// MaxSpeedMS returns an upper bound, in meters per second, on the
-	// model's instantaneous speed at every time ≥ 0.
-	MaxSpeedMS() float64
-}
-
-// SpeedBoundOf returns a bound on the model's instantaneous speed, or
-// +Inf when the model cannot provide one (a conservative answer that
-// merely disables drift-based optimizations).
-func SpeedBoundOf(m Model) float64 {
-	if sb, ok := m.(SpeedBound); ok {
-		return sb.MaxSpeedMS()
-	}
-	return math.Inf(1)
-}
-
 // MaxSpeedMS returns 0: a stationary host never moves.
 func (s Stationary) MaxSpeedMS() float64 { return 0 }
 

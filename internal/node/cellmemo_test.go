@@ -14,9 +14,11 @@ import (
 	"ecgrid/internal/sim"
 )
 
-// hiddenBound wraps a model without promoting its speed bound, so the
-// host sees +Inf and must never keep a Cell memo.
+// hiddenBound wraps a model but reports no speed bound (+Inf), so the
+// host must never keep a Cell memo.
 type hiddenBound struct{ mobility.Model }
+
+func (hiddenBound) MaxSpeedMS() float64 { return math.Inf(1) }
 
 // cellModel builds mobility model kind (taken modulo the kind count)
 // over area, starting at start, drawing from rng. The kinds cover

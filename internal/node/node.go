@@ -67,6 +67,9 @@ type Protocol interface {
 	CellChanged(old, cur grid.Coord)
 	// Stopped is called once when the host dies (battery exhausted).
 	Stopped()
+	// TxFailed is called when a unicast frame the host sent exhausted
+	// its MAC retries (link-layer failure feedback for route repair).
+	TxFailed(f *radio.Frame)
 }
 
 // Host is one mobile host.
@@ -136,9 +139,10 @@ type Config struct {
 
 // New creates a host and attaches it to the channel and the paging bus.
 // The protocol is set separately (SetProtocol) because protocols need the
-// host reference at construction.
+// host reference at construction. Engine, Channel, Bus, Partition,
+// Mobility and Battery are required: New panics without one.
 func New(cfg Config) *Host {
-	if cfg.Engine == nil || cfg.Channel == nil || cfg.Partition == nil || cfg.Mobility == nil || cfg.Battery == nil {
+	if cfg.Engine == nil || cfg.Channel == nil || cfg.Bus == nil || cfg.Partition == nil || cfg.Mobility == nil || cfg.Battery == nil {
 		panic("node: incomplete config")
 	}
 	h := &Host{
@@ -150,7 +154,7 @@ func New(cfg Config) *Host {
 		partition: cfg.Partition,
 		mob:       cfg.Mobility,
 		battery:   cfg.Battery,
-		vmax:      mobility.SpeedBoundOf(cfg.Mobility),
+		vmax:      cfg.Mobility.MaxSpeedMS(),
 	}
 	h.cellFn = h.cellChanged
 	h.deathFn = h.checkDeath
@@ -163,9 +167,6 @@ func New(cfg Config) *Host {
 // attachSwitch registers the host's RAS switch on the paging bus. Used
 // at construction and again when recovering from an injected crash.
 func (h *Host) attachSwitch() {
-	if h.bus == nil {
-		return
-	}
 	h.bus.Attach(h.id, &ras.Switch{
 		Position: h.Position,
 		Asleep:   func() bool { return h.asleep && !h.dead && !h.crashed },
@@ -223,17 +224,16 @@ func (h *Host) Position() geom.Point {
 	return h.posPt
 }
 
-// NextExit implements radio.Mover for the channel's spatial index: the
-// earliest time ≥ t the host's position may leave bounds, bounded by a
-// one-hour re-check horizon.
+// NextExit implements radio.Endpoint for the channel's spatial index:
+// the earliest time ≥ t the host's position may leave bounds, bounded by
+// a one-hour re-check horizon.
 func (h *Host) NextExit(t float64, bounds geom.Rect) float64 {
 	const horizon = 3600.0
 	return mobility.NextRectExit(h.mob, t, bounds, t+horizon)
 }
 
-// MaxSpeedMS implements radio.SpeedBounded: a bound on the host's speed
-// for the whole run, from its mobility model, or +Inf when the model
-// cannot bound itself.
+// MaxSpeedMS implements radio.Endpoint: its mobility model's bound on
+// the host's speed for the whole run.
 func (h *Host) MaxSpeedMS() float64 { return h.vmax }
 
 // GPS returns the position the host's positioning device reports: the
@@ -349,27 +349,19 @@ func (h *Host) Deliver(f *radio.Frame) {
 	h.protocol.Receive(f)
 }
 
-// FailureAware is implemented by protocols that react to link-layer
-// transmit failures (route repair).
-type FailureAware interface {
-	TxFailed(f *radio.Frame)
-}
-
-// TxFailed implements radio.TxFeedback by forwarding to the protocol.
+// TxFailed implements radio.Endpoint by forwarding to the protocol.
 func (h *Host) TxFailed(f *radio.Frame) {
 	if h.dead || h.crashed {
 		return
 	}
-	if fa, ok := h.protocol.(FailureAware); ok {
-		fa.TxFailed(f)
-	}
+	h.protocol.TxFailed(f)
 }
 
 // --- RAS paging ----------------------------------------------------------
 
 // Page sends the paging sequence of target from this host's position.
 func (h *Host) Page(target hostid.ID) {
-	if h.bus == nil || h.dead || h.crashed {
+	if h.dead || h.crashed {
 		return
 	}
 	h.bus.Page(h.Position(), target)
@@ -378,7 +370,7 @@ func (h *Host) Page(target hostid.ID) {
 // PageGrid sends the broadcast sequence of cell c from this host's
 // position.
 func (h *Host) PageGrid(c grid.Coord) {
-	if h.bus == nil || h.dead || h.crashed {
+	if h.dead || h.crashed {
 		return
 	}
 	h.bus.PageGrid(h.Position(), c)
@@ -499,9 +491,7 @@ func (h *Host) die() {
 	h.dead = true
 	h.cancelCellChange()
 	h.channel.Detach(h.id)
-	if h.bus != nil {
-		h.bus.Detach(h.id)
-	}
+	h.bus.Detach(h.id)
 	h.protocol.Stopped()
 	if h.Died != nil {
 		h.Died(h.id, h.engine.Now())
@@ -526,9 +516,7 @@ func (h *Host) Crash() {
 	h.engine.Cancel(h.deathEv)
 	h.deathEv = sim.Handle{}
 	h.channel.Detach(h.id)
-	if h.bus != nil {
-		h.bus.Detach(h.id)
-	}
+	h.bus.Detach(h.id)
 	h.battery.SetMode(h.engine.Now(), energy.Sleep)
 	h.protocol.Stopped()
 }

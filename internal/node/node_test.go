@@ -28,6 +28,7 @@ func (r *recorder) Receive(f *radio.Frame)      { r.received = append(r.received
 func (r *recorder) Woken(c WakeCause)           { r.wakes = append(r.wakes, c) }
 func (r *recorder) CellChanged(_, c grid.Coord) { r.cellChanges = append(r.cellChanges, c) }
 func (r *recorder) Stopped()                    { r.stopped = true }
+func (r *recorder) TxFailed(*radio.Frame)       {}
 
 type world struct {
 	engine    *sim.Engine
@@ -315,12 +316,25 @@ func TestStartWithoutProtocolPanics(t *testing.T) {
 }
 
 func TestIncompleteConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with nil engine did not panic")
-		}
-	}()
-	New(Config{})
+	w := newWorld()
+	noBus := Config{
+		ID: 9, Engine: w.engine, RNG: w.rng, Channel: w.channel,
+		Partition: w.partition, Mobility: at(1, 1),
+		Battery: energy.NewBattery(energy.PaperModel(), 500),
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"nil engine", Config{}}, {"nil bus", noBus}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "node: incomplete config" {
+					t.Errorf("New with %s: recovered %v, want the incomplete-config panic", c.name, r)
+				}
+			}()
+			New(c.cfg)
+		}()
+	}
 }
 
 func TestWakeCauseString(t *testing.T) {
@@ -340,6 +354,8 @@ type constVelModel struct {
 
 func (m constVelModel) Position(t float64) geom.Point  { return m.from.Add(m.v.Scale(t)) }
 func (m constVelModel) Velocity(t float64) geom.Vector { return m.v }
+func (m constVelModel) NextTurn(float64) float64       { return math.Inf(1) }
+func (m constVelModel) MaxSpeedMS() float64            { return m.v.Len() }
 
 func TestPageDuringGraceWindowIsNoOp(t *testing.T) {
 	// A page that arrives while the host is still awake (e.g. in a
@@ -442,17 +458,6 @@ func TestTxFailedForwardedToProtocol(t *testing.T) {
 	if rec.failed[0].Dst != 42 {
 		t.Fatalf("failed frame = %v", rec.failed[0])
 	}
-}
-
-func TestTxFailedIgnoredWithoutInterface(t *testing.T) {
-	// A protocol that does not implement FailureAware must simply not
-	// be called — no panic.
-	w := newWorld()
-	h, _ := w.host(1, at(100, 100), 500)
-	w.engine.Schedule(0.001, func() {
-		h.Send(&radio.Frame{Kind: "data", Dst: 42, Bytes: 100})
-	})
-	w.engine.Run(2)
 }
 
 func TestPageFromDeadHostIsNoOp(t *testing.T) {

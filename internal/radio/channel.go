@@ -20,23 +20,25 @@ type Endpoint interface {
 	ID() hostid.ID
 	// Position returns the host's current location.
 	Position() geom.Point
+	// NextExit returns a conservative (never late) estimate of the
+	// earliest time ≥ t at which the host's position may leave bounds,
+	// or +Inf if it never will. The channel's spatial index re-buckets
+	// the host event-driven from it instead of scanning.
+	NextExit(t float64, bounds geom.Rect) float64
+	// MaxSpeedMS returns an upper bound, in meters per second, on the
+	// host's speed at every time ≥ 0. The receiver scan turns a position
+	// snapshot's age into a distance with it (scan.go).
+	MaxSpeedMS() float64
 	// Battery returns the host's battery; the channel drives its
 	// radio-mode transitions.
 	Battery() *energy.Battery
 	// Deliver hands a successfully received frame to the host's
 	// protocol stack.
 	Deliver(f *Frame)
-}
-
-// Mover is an optional Endpoint extension: hosts that can bound their
-// own future movement implement it so the channel's spatial index can
-// re-bucket them event-driven instead of scanning. NextExit must return
-// a conservative (never late) estimate of the earliest time ≥ t at
-// which the host's position may leave bounds, or +Inf if it never will.
-// Endpoints without it (test stubs) are kept on a brute-force side list
-// and still receive correctly.
-type Mover interface {
-	NextExit(t float64, bounds geom.Rect) float64
+	// TxFailed reports that a unicast frame from this host exhausted its
+	// MAC retries: the link-layer failure indication (802.11 "max
+	// retries exceeded") routing protocols use for route repair.
+	TxFailed(f *Frame)
 }
 
 // transmission is a frame in flight. Transmissions are pooled: by the
@@ -173,12 +175,13 @@ type Channel struct {
 	// iteration. awake mirrors listening && !detached per ID, so the
 	// receiver scan can skip a sleeping candidate without loading its
 	// station; only Attach, Detach and SetListening write it. snap holds
-	// each host's position snapshot (scan.go), written by readPos and
-	// invalidated by Attach; vmax is the loosest speed bound over all
-	// hosts ever attached. idMark and idSlot run beside them for
-	// markID/sweepIDs: one bit per ID, all clear between sweeps, and the
-	// candidate index recorded with each marked ID. idLo..idHi bounds
-	// the marked words (idLo > idHi when nothing is marked).
+	// each host's position snapshot (scan.go), written by readPos (at
+	// Attach, by the index's insert read); vmax is the loosest speed
+	// bound over all hosts ever attached. idMark and idSlot run beside
+	// them for markID/sweepIDs: one bit per ID, all clear between
+	// sweeps, and the candidate index recorded with each marked ID.
+	// idLo..idHi bounds the marked words (idLo > idHi when nothing is
+	// marked).
 	stations   []*station
 	awake      []bool
 	snap       []posSnap
@@ -188,13 +191,10 @@ type Channel struct {
 	idLo, idHi int
 
 	// Spatial acceleration (nil when cfg.BruteForce): index buckets the
-	// Mover-capable stations for receiver discovery, txIdx holds the
-	// origins of in-flight transmissions for carrier sense, and
-	// unindexed lists stations without motion info (scanned brute-force
-	// and merged into the candidate set).
-	index     *spatial.Index[*station]
-	txIdx     *spatial.PointSet
-	unindexed []hostid.ID
+	// attached stations for receiver discovery, and txIdx holds the
+	// origins of in-flight transmissions for carrier sense.
+	index *spatial.Index[*station]
+	txIdx *spatial.PointSet
 	// Receiver-scan scratch: cand collects the index's candidates in
 	// cell-scan order; cpos holds each admitted candidate's position
 	// (parallel to cand); byID lists candidate indices in host-ID order,
@@ -321,17 +321,15 @@ func (c *Channel) Attach(ep Endpoint) {
 	}
 	c.stations[id] = st
 	c.awake[id] = true
-	// A re-attached ID may be a different endpoint: forget the old
-	// snapshot (a NaN instant makes every drift bound NaN).
-	c.snap[id] = posSnap{t: math.NaN()}
 	if c.index != nil {
-		c.noteSpeedBound(ep)
-		if mv, ok := ep.(Mover); ok {
-			// The index's position reads refresh the snapshot too.
-			c.index.Insert(id, st, func() geom.Point { return c.readPos(st) }, mv.NextExit)
-		} else {
-			c.unindexed = append(c.unindexed, id)
-		}
+		// vmax only grows, and each host's bound holds for all time, so
+		// every snapshot's drift bound stays sound as hosts attach. A NaN
+		// bound makes vmax NaN, which, like +Inf, settles nothing.
+		c.vmax = max(c.vmax, ep.MaxSpeedMS())
+		// The index's position reads refresh the snapshot too. Insert
+		// reads the position at once, so a re-attached ID, which may be a
+		// different endpoint, never keeps its old snapshot.
+		c.index.Insert(id, st, func() geom.Point { return c.readPos(st) }, ep.NextExit)
 	}
 }
 
@@ -371,16 +369,6 @@ func (c *Channel) sweepIDs(dst []int32) []int32 {
 	return dst
 }
 
-// gather fills c.cand with every station that may lie within r of p:
-// the spatial index's candidates plus the unindexed side list, in no
-// meaningful order.
-func (c *Channel) gather(p geom.Point, r float64) {
-	c.cand = c.index.NearbyAppend(p, r, c.cand[:0])
-	for _, id := range c.unindexed {
-		c.cand = append(c.cand, spatial.Candidate[*station]{ID: id, Payload: c.stations[id]})
-	}
-}
-
 // Detach removes a host (battery death). In-flight receptions at the host
 // are dropped; its in-flight transmission, if any, completes on the air
 // but is never retried.
@@ -399,9 +387,6 @@ func (c *Channel) Detach(id hostid.ID) {
 	c.awake[id] = false
 	if c.index != nil {
 		c.index.Remove(id)
-		if j := slices.Index(c.unindexed, id); j >= 0 {
-			c.unindexed = slices.Delete(c.unindexed, j, j+1)
-		}
 	}
 }
 
@@ -678,9 +663,7 @@ func (c *Channel) endTransmission(tx *transmission) {
 			c.counters.UnicastFailed++
 			// Link-layer feedback: tell the sender its frame died, as
 			// a real 802.11 interface reports exhausted ACK retries.
-			if fb, ok := st.ep.(TxFeedback); ok {
-				fb.TxFailed(tx.frame)
-			}
+			st.ep.TxFailed(tx.frame)
 		}
 	}
 	if !retried {
@@ -758,13 +741,6 @@ func (c *Channel) Shutdown() {
 	c.liveTx = c.liveTx[:0]
 }
 
-// TxFeedback is implemented by endpoints that want link-layer failure
-// notifications for their unicast frames (the 802.11 "max retries
-// exceeded" indication routing protocols use for route repair).
-type TxFeedback interface {
-	TxFailed(f *Frame)
-}
-
 // InRange reports whether two attached hosts are currently within
 // transmission range of each other. Protocol code uses it only through
 // higher-level abstractions; tests use it directly.
@@ -779,9 +755,9 @@ func (c *Channel) InRange(a, b hostid.ID) bool {
 // NearIDs appends to dst every attached station that may lie within r
 // of p — a superset of the stations truly in range — in ascending ID
 // order, and returns dst. The caller owns the exact distance check. With
-// the spatial index the candidates come from the cells within reach plus
-// the unindexed side list; under BruteForce they are the whole attached
-// population, the reference sweep. The RAS bus answers grid pages from
+// the spatial index the candidates come from the cells within reach;
+// under BruteForce they are the whole attached population, the
+// reference sweep. The RAS bus answers grid pages from
 // it (ras.Candidates); pass a recycled dst[:0] to stay allocation-free.
 func (c *Channel) NearIDs(p geom.Point, r float64, dst []hostid.ID) []hostid.ID {
 	if c.index == nil {
@@ -794,7 +770,7 @@ func (c *Channel) NearIDs(p geom.Point, r float64, dst []hostid.ID) []hostid.ID 
 	}
 	// c.cand and c.byID are the receiver scan's scratch; they are fully
 	// consumed here before any other channel method can run.
-	c.gather(p, r)
+	c.cand = c.index.NearbyAppend(p, r, c.cand[:0])
 	for i := range c.cand {
 		c.markID(c.cand[i].ID, i)
 	}

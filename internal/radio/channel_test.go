@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"ecgrid/internal/energy"
@@ -9,7 +10,8 @@ import (
 	"ecgrid/internal/sim"
 )
 
-// fakeHost is a minimal Endpoint for channel tests.
+// fakeHost is a minimal Endpoint for channel tests: a host standing
+// still at pos.
 type fakeHost struct {
 	id       hostid.ID
 	pos      geom.Point
@@ -19,8 +21,19 @@ type fakeHost struct {
 
 func (h *fakeHost) ID() hostid.ID            { return h.id }
 func (h *fakeHost) Position() geom.Point     { return h.pos }
+func (h *fakeHost) MaxSpeedMS() float64      { return 0 }
 func (h *fakeHost) Battery() *energy.Battery { return h.battery }
 func (h *fakeHost) Deliver(f *Frame)         { h.received = append(h.received, f) }
+func (h *fakeHost) TxFailed(*Frame)          {}
+
+// NextExit is the stationary answer: never while inside bounds, now
+// when outside.
+func (h *fakeHost) NextExit(t float64, bounds geom.Rect) float64 {
+	if bounds.Contains(h.pos) {
+		return math.Inf(1)
+	}
+	return t
+}
 
 type rig struct {
 	engine  *sim.Engine

@@ -23,8 +23,8 @@ type orderMover struct {
 
 func (h *orderMover) Deliver(*Frame) { *h.log = append(*h.log, h.id) }
 
-// orderStub is a Mover-less endpoint (kept on the unindexed side list)
-// that logs like orderMover.
+// orderStub is a stationary endpoint (a fakeHost) that logs like
+// orderMover.
 type orderStub struct {
 	fakeHost
 	log *[]hostid.ID
@@ -33,13 +33,13 @@ type orderStub struct {
 func (h *orderStub) Deliver(*Frame) { *h.log = append(*h.log, h.id) }
 
 // orderHost describes one station of an ordering scenario: at (x, y) at
-// time 0, moving at (vx, vy) unless it is a stub.
+// time 0, moving at (vx, vy) unless it is a stub, which stands still.
 type orderHost struct {
 	id     hostid.ID
 	x, y   float64
 	vx, vy float64
 	asleep bool
-	stub   bool // attach without Mover (and without a speed bound)
+	stub   bool // attach as a stationary orderStub
 }
 
 // pos is h's position at time t, computed exactly as its endpoint does.
@@ -133,14 +133,14 @@ func checkNearIDs(t *testing.T, r *orderRig, hosts []orderHost, p geom.Point, br
 	now := r.engine.Now()
 	for _, h := range hosts {
 		in := slices.Contains(got, h.id)
-		if (brute || h.stub || p.Dist2(h.pos(now)) <= rng*rng) && !in {
+		if (brute || p.Dist2(h.pos(now)) <= rng*rng) && !in {
 			t.Fatalf("NearIDs %v misses host %v", got, h.id)
 		}
 	}
 }
 
 func TestReceiverOrderAcrossWordBoundaries(t *testing.T) {
-	// Attached in scrambled order; 150 is the Mover-less stub, 129 sleeps
+	// Attached in scrambled order; 150 is the stationary stub, 129 sleeps
 	// and 201 is out of range of the sender, 63.
 	hosts := []orderHost{
 		{id: 128, x: 180, y: 120}, {id: 1, x: 60, y: 20}, {id: 200, x: 10, y: 200},

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"ecgrid/internal/energy"
@@ -109,7 +110,7 @@ func TestOverlapAccounting(t *testing.T) {
 			name: "half-duplex",
 			setup: func(t *testing.T, r *rig) *fakeHost {
 				r.addHost(0, 100, 0)
-				mid := r.addHost(1, 0, 0)
+				mid := r.addJumper(1, 0, 0, 0.002)
 				r.addHost(2, 1000, 0)
 				r.addHost(3, 700, 100)
 				r.sendAt(0.001, 1, "a", big)
@@ -142,6 +143,34 @@ func TestOverlapAccounting(t *testing.T) {
 			})
 		}
 	}
+}
+
+// jumper is a fakeHost that the test moves by assigning its pos at
+// instant jumpAt, and that declares the jump: its NextExit answers
+// jumpAt until then, and its speed bound is +Inf, so no position
+// snapshot settles it. At jumpAt itself NextExit answers "now", so the
+// spatial index re-checks just after the move whichever event at that
+// instant runs first.
+type jumper struct {
+	fakeHost
+	jumpAt float64
+}
+
+func (h *jumper) MaxSpeedMS() float64 { return math.Inf(1) }
+
+func (h *jumper) NextExit(t float64, bounds geom.Rect) float64 {
+	if t <= h.jumpAt {
+		return h.jumpAt
+	}
+	return h.fakeHost.NextExit(t, bounds)
+}
+
+// addJumper attaches a jumper at (x, y) that may move at jumpAt.
+func (r *rig) addJumper(id hostid.ID, x, y, jumpAt float64) *fakeHost {
+	h := &jumper{fakeHost{id: id, pos: geom.Point{X: x, Y: y}, battery: energy.NewBattery(energy.PaperModel(), 1e6)}, jumpAt}
+	r.hosts[id] = &h.fakeHost
+	r.channel.Attach(h)
+	return &h.fakeHost
 }
 
 // sendAt schedules a broadcast of the given kind and size from src.

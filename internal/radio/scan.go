@@ -8,10 +8,11 @@ package radio
 //
 //   - The channel keeps, per host ID, the last position it read for the
 //     host and the instant it read it (Channel.snap). Every position the
-//     channel reads goes through readPos, which refreshes the snapshot;
-//     Attach invalidates it.
+//     channel reads goes through readPos, which refreshes the snapshot.
+//     Attach reads the position (the spatial index's insert), so a
+//     re-attached ID never keeps the old endpoint's snapshot.
 //   - A host moves at most vmax meters per second (the loosest
-//     SpeedBounded bound over every host ever attached), so at instant
+//     Endpoint.MaxSpeedMS over every host ever attached), so at instant
 //     now it lies within drift = vmax·(now − t) of its snapshot taken at
 //     t. The sender's position is read live for every frame, so only the
 //     receiver drifts.
@@ -19,8 +20,8 @@ package radio
 //     Range proves the candidate in range, d0 − drift > Range proves it
 //     out of range, and anything in between is read live and settled by
 //     the exact Dist2 <= Range² check the BruteForce reference applies.
-//     An invalid snapshot or an unbounded vmax yields a NaN or infinite
-//     drift, which settles nothing: the candidate is read live.
+//     An unbounded vmax yields an infinite drift, which settles nothing:
+//     the candidate is read live.
 //
 // Positions are pure functions of time, so skipping a read changes no
 // simulation state. An Interceptor takes receiver positions, so on a
@@ -28,11 +29,7 @@ package radio
 // is still read live; out-of-range ones are skipped either way, and a
 // frame out of reach is scanned as if no hook were installed.
 
-import (
-	"math"
-
-	"ecgrid/internal/geom"
-)
+import "ecgrid/internal/geom"
 
 // rxMarginGuard (meters) pads every drift bound so a snapshot decision
 // survives floating-point slop in position interpolation and in the
@@ -42,22 +39,10 @@ import (
 const rxMarginGuard = 1e-3
 
 // posSnap is the last position the channel read for one host, and the
-// instant it read it; t is NaN when no read since the host's Attach is
-// on record. 24 bytes with no pointer, one per host ID.
+// instant it read it. 24 bytes with no pointer, one per host ID.
 type posSnap struct {
 	p geom.Point
 	t float64
-}
-
-// SpeedBounded is an optional Endpoint extension: hosts that can bound
-// their own speed for the whole run implement it (the node layer
-// delegates to mobility.SpeedBoundOf). The receiver scan uses the
-// loosest bound over all attached hosts to turn a snapshot's age into a
-// distance; endpoints without it make every candidate a live read.
-type SpeedBounded interface {
-	// MaxSpeedMS returns an upper bound, in meters per second, on the
-	// host's speed at every time ≥ 0.
-	MaxSpeedMS() float64
 }
 
 // RxCacheStats is receiver-scan telemetry. Pure observability: none of
@@ -65,9 +50,8 @@ type SpeedBounded interface {
 // Counters so the indexed and BruteForce scans fingerprint identically.
 type RxCacheStats struct {
 	// Candidates counts the stations startTransmission's receiver scans
-	// examined: the spatial index's candidates plus the unindexed side
-	// list per frame, and the whole station table per frame under
-	// BruteForce.
+	// examined: the spatial index's candidates per frame, and the whole
+	// station table per frame under BruteForce.
 	Candidates uint64
 	// LiveReads counts the receiver positions the scans read live: the
 	// candidates a snapshot could not settle, plus in-range receivers
@@ -90,19 +74,6 @@ type RxCacheStats struct {
 // RxCacheStats returns the channel's receiver-scan telemetry.
 func (c *Channel) RxCacheStats() RxCacheStats { return c.rxStats }
 
-// noteSpeedBound folds one attaching endpoint's speed bound into the
-// channel-wide vmax. vmax only grows, and each host's bound holds for
-// all time, so every snapshot's drift bound stays sound as hosts attach.
-func (c *Channel) noteSpeedBound(ep Endpoint) {
-	v := math.Inf(1)
-	if sb, ok := ep.(SpeedBounded); ok {
-		if b := sb.MaxSpeedMS(); b >= 0 && !math.IsNaN(b) {
-			v = b
-		}
-	}
-	c.vmax = max(c.vmax, v)
-}
-
 // readPos reads station st's live position and records it as the
 // station's snapshot. Every position the channel reads goes through it.
 func (c *Channel) readPos(st *station) geom.Point {
@@ -119,7 +90,7 @@ func (c *Channel) indexedReceivers(tx *transmission, st *station, pos geom.Point
 	rng := c.cfg.Range
 	r2 := rng * rng
 	now := c.engine.Now()
-	c.gather(pos, rng)
+	c.cand = c.index.NearbyAppend(pos, rng, c.cand[:0])
 	c.rxStats.Candidates += uint64(len(c.cand))
 	// Filter first, order second: the checks are order-free (Position is
 	// pure per instant), so applying them before imposing ID order

@@ -12,9 +12,9 @@ import (
 	"ecgrid/internal/sim"
 )
 
-// pacer is a Mover- and SpeedBounded-capable endpoint moving in a
-// straight line at constant velocity; its position is a pure function
-// of engine time, like the real node layer's.
+// pacer is an endpoint moving in a straight line at constant velocity;
+// its position is a pure function of engine time, like the real node
+// layer's.
 type pacer struct {
 	id       hostid.ID
 	engine   *sim.Engine
@@ -27,6 +27,7 @@ type pacer struct {
 func (h *pacer) ID() hostid.ID            { return h.id }
 func (h *pacer) Battery() *energy.Battery { return h.battery }
 func (h *pacer) Deliver(f *Frame)         { h.received = append(h.received, f) }
+func (h *pacer) TxFailed(*Frame)          {}
 func (h *pacer) MaxSpeedMS() float64      { return math.Hypot(h.vx, h.vy) }
 func (h *pacer) Position() geom.Point     { return h.at(h.engine.Now()) }
 
@@ -223,34 +224,6 @@ func TestRxCacheMissOnMembershipEvents(t *testing.T) {
 		}
 	})
 
-	t.Run("unindexed-attach-forces-miss", func(t *testing.T) {
-		// A Mover-less endpoint is not in the index, so nothing reads it
-		// at Attach: its snapshot is invalid and the next scan must read
-		// it live. That read refreshes the snapshot, so the third scan
-		// settles it.
-		r := newPacerRig(DefaultConfig())
-		r.addPacer(0, 500, 500, 0, 0)
-		r.addPacer(1, 560, 500, 0, 0)
-		r.sendAt(0.1, 0)
-		var h *parked
-		r.engine.At(0.2, func() {
-			h = &parked{fakeHost{id: 9, pos: geom.Point{X: 430, Y: 500},
-				battery: energy.NewBattery(energy.PaperModel(), 1e6)}}
-			r.channel.Attach(h)
-		})
-		r.sendAt(0.3, 0)
-		if n := r.liveReadsAfter(0.4); n != 1 {
-			t.Fatalf("scan after the unindexed attach read %d positions live, want 1", n)
-		}
-		r.sendAt(0.5, 0)
-		if n := r.liveReadsAfter(1); n != 0 {
-			t.Fatalf("scan after the refresh read %d positions live, want 0", n)
-		}
-		if got := len(h.received); got != 2 {
-			t.Fatalf("unindexed host received %d frames, want 2", got)
-		}
-	})
-
 	// Property sweep: random stationary populations within 212 m of the
 	// sender (all in range), with a random attach or detach between two
 	// transmissions. Every host attached at the second frame must get it
@@ -350,46 +323,33 @@ func TestUnboundedSpeedReadsEveryCandidate(t *testing.T) {
 	}
 }
 
-// parked is an unindexed endpoint (no Mover) that never moves: a speed
-// bound of 0 keeps vmax at 0, so its snapshots never drift.
-type parked struct{ fakeHost }
-
-func (*parked) MaxSpeedMS() float64 { return 0 }
-
 // TestReattachInvalidatesSnapshot detaches a host and re-attaches its
 // ID as an endpoint elsewhere. With vmax 0 a stale snapshot would settle
 // the new endpoint at the old position forever, so Attach must forget
-// it, on the index and on the unindexed side list alike.
+// it.
 func TestReattachInvalidatesSnapshot(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		r := newPacerRig(DefaultConfig())
-		r.addPacer(0, 500, 500, 0, 0)
-		attach := func(x float64) func() int {
-			if indexed {
-				h := r.addPacer(1, x, 500, 0, 0)
-				return func() int { return len(h.received) }
-			}
-			h := &parked{fakeHost{id: 1, pos: geom.Point{X: x, Y: 500}, battery: energy.NewBattery(energy.PaperModel(), 1e6)}}
-			r.channel.Attach(h)
-			return func() int { return len(h.received) }
-		}
-		near := attach(560)
-		r.sendAt(0, 0)
-		r.engine.Run(0.5)
-		r.channel.Detach(1)
-		far := attach(900)
-		r.sendAt(0.5, 0)
-		r.engine.Run(1)
-		r.channel.Detach(1)
-		nearAgain := attach(600)
-		r.sendAt(1, 0)
-		r.engine.Run(2)
-		if r.channel.vmax != 0 {
-			t.Fatalf("indexed=%v: vmax = %v, want 0", indexed, r.channel.vmax)
-		}
-		if near() != 1 || far() != 0 || nearAgain() != 1 {
-			t.Errorf("indexed=%v: received %d, %d, %d frames, want 1, 0, 1", indexed, near(), far(), nearAgain())
-		}
+	r := newPacerRig(DefaultConfig())
+	r.addPacer(0, 500, 500, 0, 0)
+	attach := func(x float64) func() int {
+		h := r.addPacer(1, x, 500, 0, 0)
+		return func() int { return len(h.received) }
+	}
+	near := attach(560)
+	r.sendAt(0, 0)
+	r.engine.Run(0.5)
+	r.channel.Detach(1)
+	far := attach(900)
+	r.sendAt(0.5, 0)
+	r.engine.Run(1)
+	r.channel.Detach(1)
+	nearAgain := attach(600)
+	r.sendAt(1, 0)
+	r.engine.Run(2)
+	if r.channel.vmax != 0 {
+		t.Fatalf("vmax = %v, want 0", r.channel.vmax)
+	}
+	if near() != 1 || far() != 0 || nearAgain() != 1 {
+		t.Errorf("received %d, %d, %d frames, want 1, 0, 1", near(), far(), nearAgain())
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestNewRecorderValidation(t *testing.T) {
 	NewRecorder(0)
 }
 
-// fakeEp is a minimal radio endpoint.
+// fakeEp is a minimal radio endpoint standing still at the origin.
 type fakeEp struct {
 	id  hostid.ID
 	bat *energy.Battery
@@ -117,8 +118,17 @@ type fakeEp struct {
 
 func (f *fakeEp) ID() hostid.ID            { return f.id }
 func (f *fakeEp) Position() geom.Point     { return geom.Point{} }
+func (f *fakeEp) MaxSpeedMS() float64      { return 0 }
 func (f *fakeEp) Battery() *energy.Battery { return f.bat }
 func (f *fakeEp) Deliver(*radio.Frame)     {}
+func (f *fakeEp) TxFailed(*radio.Frame)    {}
+
+func (f *fakeEp) NextExit(t float64, bounds geom.Rect) float64 {
+	if bounds.Contains(f.Position()) {
+		return math.Inf(1)
+	}
+	return t
+}
 
 func TestAttachRadioRecordsTransmissions(t *testing.T) {
 	e := sim.NewEngine()
