@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ecgrid/internal/geom"
@@ -93,13 +94,15 @@ func TestNextRectExitStationary(t *testing.T) {
 // runner and the scenario generator build, a host standing still and
 // one drifting in a straight line forever (a finite exit with no turn
 // ahead). mk builds a fresh model from a seed; seed and half are
-// TestNextRectExitConservative's seed and rect half-width (m).
-var walkModels = []struct {
+// checkConservative's seed and rect half-width (m).
+type walkModel struct {
 	name string
 	mk   func(seed int64) Model
 	seed int64
 	half float64
-}{
+}
+
+var walkModels = []walkModel{
 	{"waypoint", func(seed int64) Model { return newRWP(seed, 15, 2) }, 21, 40},
 	{"direction", func(seed int64) Model {
 		return NewRandomDirection(testArea(), geom.Point{X: 200, Y: 700}, 10, 20, 1, rand.New(rand.NewSource(seed)))
@@ -133,10 +136,30 @@ func square(p geom.Point, half float64) geom.Rect {
 
 // TestNextRectExitConservative is the oracle's contract: at every
 // sampled instant strictly before the reported exit, the host is still
-// inside the rectangle. Each walk model is queried from a chain of
-// instants, every rect centered on the host's position there.
+// inside the rectangle. Checked here for the waypoint and direction
+// models, a stationary host and a drifting one.
 func TestNextRectExitConservative(t *testing.T) {
-	for _, wm := range walkModels {
+	checkConservative(t, "waypoint", "direction", "stationary", "drift")
+}
+
+// TestNextRectExitConservativeGenerated checks the same contract for
+// the two generated-scenario models; it is what lets the spatial index
+// trust them for event-driven re-bucketing.
+func TestNextRectExitConservativeGenerated(t *testing.T) {
+	checkConservative(t, "manhattan", "group")
+}
+
+// checkConservative runs the conservativeness check on the named
+// walkModels, one subtest each: every model is queried from a chain of
+// instants, every rect centered on the host's position there.
+func checkConservative(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		i := slices.IndexFunc(walkModels, func(wm walkModel) bool { return wm.name == name })
+		if i < 0 {
+			t.Fatalf("no walk model %q", name)
+		}
+		wm := walkModels[i]
 		t.Run(wm.name, func(t *testing.T) {
 			m := wm.mk(wm.seed)
 			const horizon = 600.0
