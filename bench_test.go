@@ -1,9 +1,11 @@
 package ecgrid
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"ecgrid/internal/batch"
 	"ecgrid/internal/core"
 	"ecgrid/internal/experiment"
 	"ecgrid/internal/geom"
@@ -30,11 +32,11 @@ func benchFigure(b *testing.B, fig experiment.Figure) {
 	opt := experiment.Options{Fast: true}
 	for i := 0; i < b.N; i++ {
 		opt.Seed = int64(i + 1)
-		res, err := experiment.Run(fig, opt)
+		outs, err := experiment.Reproduce(context.Background(), []experiment.Figure{fig}, opt, batch.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Series) == 0 {
+		if len(outs[0].(*experiment.Result).Series) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -244,28 +246,6 @@ func BenchmarkGridCellOf(b *testing.B) {
 	p := geom.Point{X: 123.4, Y: 567.8}
 	for i := 0; i < b.N; i++ {
 		part.CellOf(p)
-	}
-}
-
-// BenchmarkExtensionLoadSweep exercises the heavy-traffic extension
-// experiment (per-flow rate up to the paper's 10 pkt/s).
-func BenchmarkExtensionLoadSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunLoadSweep(experiment.Options{Seed: int64(i + 1), Fast: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtensionOverhead exercises the air-usage breakdown experiment.
-func BenchmarkExtensionOverhead(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunOverhead(experiment.Options{Seed: int64(i + 1), Fast: true})
-		if len(res.Rows) != 3 {
-			b.Fatal("bad overhead result")
-		}
 	}
 }
 

@@ -1,13 +1,17 @@
 // Command figures regenerates the paper's evaluation figures (Figs 4–8,
-// both speed variants) as text tables or CSV. Each figure's simulations
-// (protocols × sweep points × seed replicates) fan out across a worker
-// pool; results are independent of the worker count.
+// both speed variants) as text tables or CSV, plus the two extensions:
+// the on-air overhead breakdown and the load sweep. Every requested
+// experiment's simulations (protocols × sweep points × seed replicates)
+// are planned into one list, which runs each distinct simulation once
+// across a worker pool; results are independent of the worker count.
 //
 // Usage:
 //
-//	figures                 # all ten figures, text tables
+//	figures                 # all ten figures and the overhead table
 //	figures -fig 4a         # one figure
-//	figures -csv -fig 7b    # CSV output
+//	figures -fig overhead   # the on-air overhead breakdown
+//	figures -fig load       # delivery vs per-flow rate
+//	figures -csv -fig 7b    # CSV output (figures only)
 //	figures -fast           # shrunken sweeps (shape-preserving)
 //	figures -parallel 1     # serial execution
 //	figures -store results/ # skip runs already in the result store
@@ -20,8 +24,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"syscall"
 
+	"ecgrid/internal/batch"
 	"ecgrid/internal/experiment"
 	"ecgrid/internal/scenario"
 	"ecgrid/internal/store"
@@ -29,7 +35,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "", "figure to regenerate (4a..8b); empty runs all")
+		fig      = flag.String("fig", "", "figure to regenerate (4a..8b, overhead, load); empty runs the figures and overhead")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		fast     = flag.Bool("fast", false, "shrunken sweeps for quick runs")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -43,35 +49,27 @@ func main() {
 	)
 	flag.Parse()
 
-	var figs []experiment.Figure
-	overhead := false
-	switch *fig {
-	case "":
-		figs = experiment.All()
-		overhead = true
-	case "overhead":
-		overhead = true
-	default:
-		figs = []experiment.Figure{experiment.Figure(*fig)}
+	names := []experiment.Figure{experiment.Figure(*fig)}
+	if *fig == "" {
+		names = append(experiment.All(), experiment.Overhead)
+	}
+	if *csv {
+		// The overhead breakdown has no CSV form.
+		names = slices.DeleteFunc(names, func(n experiment.Figure) bool { return n == experiment.Overhead })
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := experiment.Options{
-		Seed:    *seed,
-		Seeds:   *seeds,
-		Fast:    *fast,
-		Workers: *parallel,
-		Context: ctx,
-	}
+	opt := experiment.Options{Seed: *seed, Seeds: *seeds, Fast: *fast}
+	bopt := batch.Options{Workers: *parallel}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		opt.Store = st
+		bopt.Store = st
 	}
 	if *scenRef != "" {
 		loaded, err := scenario.ResolveRef(*scenRef)
@@ -88,9 +86,9 @@ func main() {
 	if !*quiet {
 		// The batch layer serializes calls, so this closure needs no
 		// locking even with -parallel > 1.
-		opt.Progress = func(s string) {
+		bopt.Progress = batch.NewSink(func(s string) {
 			fmt.Fprintf(os.Stderr, "running %s\n", s)
-		}
+		})
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -98,13 +96,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, f := range figs {
-		res, err := experiment.Run(f, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *out != "" {
+	outs, err := experiment.Reproduce(ctx, names, opt, bopt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, o := range outs {
+		res, isFig := o.(*experiment.Result)
+		if isFig && *out != "" {
 			if err := writeCSVFile(*out, res); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -119,14 +118,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		if err := res.WriteTable(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if overhead && !*csv {
-		res := experiment.RunOverhead(opt)
-		if err := res.WriteTable(os.Stdout); err != nil {
+		if err := o.WriteTable(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -11,21 +11,24 @@
 //     by completion order, so any worker count reproduces the serial
 //     output exactly;
 //   - a stable content key per job (SHA-256 of the canonical config
-//     encoding, see Key) under which a ResultStore keeps every
-//     successful run, so rerunning an interrupted sweep on the same
-//     store executes only the jobs it never finished;
+//     encoding, see Key): jobs that share a key run once per batch, and
+//     a ResultStore keeps every successful run under its key, so
+//     rerunning an interrupted sweep on the same store executes only
+//     the jobs it never finished;
 //   - per-job panic isolation with the goroutine stack captured, and a
 //     failed-jobs Summary instead of one bad configuration killing a
 //     200-run sweep;
 //   - context.Context cancellation and a goroutine-safe progress Sink
 //     that serializes lines from concurrent workers.
 //
-// Run executes a job list known up front: callers plan their runs
-// (cmd/figures and cmd/sweep per figure or sweep, cmd/repro per claim,
-// deduplicated by Key), run them and fold the results. RunOnce is one
-// run with neither store nor pool, for callers that keep results
-// themselves (internal/server). Executor is deprecated and kept only for
-// the bench module.
+// Run executes a job list known up front and is the one place that
+// removes duplicate runs: callers plan every run they need
+// (internal/experiment for all requested figures and seeds at once,
+// cmd/sweep per sweep, internal/claims for every claim), repeats
+// included, run them in one call and fold the results by job index.
+// RunOnce is one run with neither store nor pool, for callers that keep
+// results themselves (internal/server). Executor is deprecated and kept
+// only for the bench module.
 package batch
 
 import (
@@ -50,6 +53,10 @@ type Job struct {
 }
 
 // Result is the outcome of one job. Run returns results in job order.
+// A job whose Key repeats an earlier job's in the same Run is neither
+// logged, read from the store nor run: its Result copies the earlier
+// job's Res, Err and Cached and keeps its own Index and Tag, so callers
+// must treat Res as read-only.
 type Result struct {
 	// Index is the job's position in the submitted list.
 	Index int
@@ -101,7 +108,9 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Summary aggregates a batch run's outcome.
+// Summary aggregates a batch run's outcome. It counts distinct keys,
+// not jobs: a repeated key adds nothing to Total or to any other count,
+// and FailedJobs lists each failed key once, under its first job.
 type Summary struct {
 	Total     int
 	Executed  int
@@ -142,16 +151,25 @@ func (e *PanicError) Error() string {
 }
 
 // Run executes the jobs across a worker pool and returns one Result per
-// job, in job order. A failed or panicking job never stops the others;
-// consult the Summary (or each Result.Err) for failures. Cancelling ctx
-// stops feeding new jobs; jobs never started carry ctx's error.
+// job, in job order, running each distinct key once (see Result). A
+// failed or panicking job never stops the others; consult the Summary
+// (or each Result.Err) for failures. Cancelling ctx stops feeding new
+// jobs; jobs never started carry ctx's error.
 func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 	results := make([]Result, len(jobs))
 	pending := make([]int, 0, len(jobs))
-	sum := Summary{Total: len(jobs)}
+	first := make(map[string]int, len(jobs)) // key → its first job's index
+	var repeats []int
+	var sum Summary
 
 	for i, j := range jobs {
 		results[i] = Result{Index: i, Tag: j.Tag, Key: Key(j.Cfg)}
+		if _, ok := first[results[i].Key]; ok {
+			repeats = append(repeats, i)
+			continue
+		}
+		first[results[i].Key] = i
+		sum.Total++
 		if opt.Store != nil {
 			res, ok, err := opt.Store.Get(results[i].Key)
 			if err != nil {
@@ -216,6 +234,10 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, Summary) {
 			sum.Cancelled++
 			sum.FailedJobs = append(sum.FailedJobs, *r)
 		}
+	}
+	for _, i := range repeats {
+		f := results[first[results[i].Key]]
+		results[i].Res, results[i].Err, results[i].Cached = f.Res, f.Err, f.Cached
 	}
 	return results, sum
 }

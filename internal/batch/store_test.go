@@ -18,6 +18,7 @@ type memStore struct {
 	m    map[string]*runner.Results
 	puts int
 	hits int
+	gets int
 }
 
 func newMemStore() *memStore { return &memStore{m: make(map[string]*runner.Results)} }
@@ -25,6 +26,7 @@ func newMemStore() *memStore { return &memStore{m: make(map[string]*runner.Resul
 func (s *memStore) Get(key string) (*runner.Results, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gets++
 	res, ok := s.m[key]
 	if ok {
 		s.hits++
@@ -143,6 +145,63 @@ func TestRunStoreSkipsFailedJobs(t *testing.T) {
 		if !second[i].Cached {
 			t.Errorf("job %d (%s) not served from the store", i, jobs[i].Tag)
 		}
+	}
+}
+
+// TestRunDedupesByKey: jobs that share a key run once per batch. A
+// repeat is not logged and not read from the store; it gets its first
+// job's Res, Err and Cached, keeps its own Index and Tag, and adds
+// nothing to the Summary, which counts distinct keys.
+func TestRunDedupesByKey(t *testing.T) {
+	a, b := tinyCfg(scenario.ECGRID, 1), tinyCfg(scenario.GRID, 1)
+	bad := a
+	bad.Hosts = -1 // fails Validate, so runner.Run panics
+	jobs := []Job{
+		{Tag: "a", Cfg: a}, {Tag: "b", Cfg: b}, {Tag: "bad", Cfg: bad},
+		{Tag: "a again", Cfg: a}, {Tag: "bad again", Cfg: bad}, {Tag: "b again", Cfg: b},
+	}
+	repeatOf := map[int]int{3: 0, 4: 2, 5: 1}
+	check := func(name string, results []Result) {
+		t.Helper()
+		for rep, orig := range repeatOf {
+			r, o := results[rep], results[orig]
+			if r.Index != rep || r.Tag != jobs[rep].Tag || r.Key != o.Key {
+				t.Errorf("%s: repeat %d = {%d %q %.8s}, want its own index and tag under key %.8s",
+					name, rep, r.Index, r.Tag, r.Key, o.Key)
+			}
+			if r.Res != o.Res || r.Err != o.Err || r.Cached != o.Cached {
+				t.Errorf("%s: repeat %d (%v, %v, cached %v) differs from job %d (%v, %v, cached %v)",
+					name, rep, r.Res != nil, r.Err, r.Cached, orig, o.Res != nil, o.Err, o.Cached)
+			}
+		}
+		var pe *PanicError
+		if !errors.As(results[4].Err, &pe) {
+			t.Errorf("%s: repeated failed job error = %v, want the first run's *PanicError", name, results[4].Err)
+		}
+	}
+
+	var lines []string
+	st := newMemStore()
+	opt := Options{Workers: 2, Store: st, Progress: NewSink(func(s string) { lines = append(lines, s) })}
+	cold, sum := Run(context.Background(), jobs, opt)
+	check("cold", cold)
+	if len(lines) != 3 || st.gets != 3 || st.puts != 2 {
+		t.Fatalf("cold batch: %d progress lines, %d store reads, %d writes; want 3, 3, 2: %q",
+			len(lines), st.gets, st.puts, lines)
+	}
+	if sum.Total != 3 || sum.Executed != 2 || sum.Failed != 1 || len(sum.FailedJobs) != 1 || sum.FailedJobs[0].Index != 2 {
+		t.Fatalf("cold summary = %+v, want 3 distinct keys: 2 executed, 1 failed (job 2)", sum)
+	}
+
+	lines = nil
+	warm, sum2 := Run(context.Background(), jobs, opt)
+	check("warm", warm)
+	if len(lines) != 3 || st.gets != 6 || st.puts != 2 {
+		t.Fatalf("warm batch: %d progress lines, %d store reads in all, %d writes; want 3, 6, 2: %q",
+			len(lines), st.gets, st.puts, lines)
+	}
+	if sum2.Total != 3 || sum2.Cached != 2 || sum2.Failed != 1 || !warm[3].Cached || !warm[5].Cached {
+		t.Fatalf("warm summary = %+v, want 2 cached and 1 failed of 3, repeats cached too", sum2)
 	}
 }
 

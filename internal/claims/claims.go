@@ -47,45 +47,38 @@ func NewEnv(seed int64, fast bool) *Env {
 	return &Env{Seed: seed, Fast: fast}
 }
 
-// Check plans the runs every claim needs, runs each distinct config
-// (by batch.Key) once through batch.Run under opt, and judges the claims
-// in order. Claims overlap heavily in the simulations they need, so a
-// shared config runs, and reports progress, once. A claim that needs a
-// failed run fails with that run's error as its detail and is not
-// judged.
+// Check plans the runs every claim needs, runs them all through one
+// batch.Run under opt, and judges the claims in order. Claims overlap
+// heavily in the simulations they need; batch.Run runs, and reports
+// progress for, a shared config once. A claim that needs a failed run
+// fails with that run's error as its detail and is not judged.
 func Check(ctx context.Context, e *Env, claims []Claim, opt batch.Options) []Verdict {
 	var jobs []batch.Job
-	jobOf := map[string]int{}
-	claimJobs := make([][]int, len(claims))
+	ends := make([]int, len(claims)) // claim i's jobs end at ends[i]
 	for i, c := range claims {
 		for _, cfg := range c.Needs(e) {
-			key := batch.Key(cfg)
-			j, ok := jobOf[key]
-			if !ok {
-				j = len(jobs)
-				jobOf[key] = j
-				jobs = append(jobs, batch.Job{Tag: fmt.Sprintf("%v dur=%v", cfg, cfg.Duration), Cfg: cfg})
-			}
-			claimJobs[i] = append(claimJobs[i], j)
+			jobs = append(jobs, batch.Job{Tag: fmt.Sprintf("%v dur=%v", cfg, cfg.Duration), Cfg: cfg})
 		}
+		ends[i] = len(jobs)
 	}
 	// The summary is not needed: each result carries its own error, and
 	// judge fails only the claims that need a failed run.
 	results, _ := batch.Run(ctx, jobs, opt)
 
 	verdicts := make([]Verdict, len(claims))
+	start := 0
 	for i, c := range claims {
-		verdicts[i] = judge(e, c, claimJobs[i], results)
+		verdicts[i] = judge(e, c, results[start:ends[i]])
+		start = ends[i]
 	}
 	return verdicts
 }
 
-// judge hands c the results of the jobs it needs, or fails it with the
+// judge hands c the results of the runs it needs, or fails it with the
 // first failed run's error.
-func judge(e *Env, c Claim, jobs []int, results []batch.Result) Verdict {
-	rs := make([]*runner.Results, len(jobs))
-	for n, j := range jobs {
-		r := results[j]
+func judge(e *Env, c Claim, results []batch.Result) Verdict {
+	rs := make([]*runner.Results, len(results))
+	for n, r := range results {
 		if r.Err != nil {
 			return fail("run %s failed: %v", r.Tag, r.Err)
 		}

@@ -137,14 +137,9 @@ func (p *Protocol) discoveryTimeout(d *discoveryState) {
 	d.tries++
 	if d.tries > p.opt.DiscoveryRetries {
 		// Give up: drop the waiting packets.
-		dropped := p.buffer.PopAll(d.dst)
-		p.Stats.DataDropped += uint64(len(dropped))
-		p.Stats.DropDiscovery += uint64(len(dropped))
-		if DebugDrop != nil {
-			for _, pk := range dropped {
-				DebugDrop("discfail", pk)
-			}
-		}
+		dropped := len(p.buffer.PopAll(d.dst))
+		p.Stats.DataDropped += uint64(dropped)
+		p.Stats.DropDiscovery += uint64(dropped)
 		p.clearDiscovery(d.dst)
 		return
 	}

@@ -9,10 +9,6 @@ import (
 	"ecgrid/internal/routing"
 )
 
-// DebugDrop, when non-nil, observes every dropped data packet (debug
-// builds only).
-var DebugDrop func(where string, pkt *routing.DataPacket)
-
 // This file implements the data path: grid-by-grid forwarding, buffering
 // for sleeping destinations, and origin-side discovery triggering.
 
@@ -36,9 +32,6 @@ func (p *Protocol) handleData(m *routing.Data) {
 		}
 		p.Stats.DataDropped++
 		p.Stats.DropMisdirect++
-		if DebugDrop != nil {
-			DebugDrop("misdirect", pkt)
-		}
 		return
 	}
 	if m.TargetGrid != p.myGrid {
@@ -57,9 +50,6 @@ func (p *Protocol) routeData(m *routing.Data) {
 	if p.opt.PacketTTL > 0 && now-pkt.SentAt > p.opt.PacketTTL {
 		p.Stats.DataDropped++
 		p.Stats.DropExpired++
-		if DebugDrop != nil {
-			DebugDrop("expired", pkt)
-		}
 		return
 	}
 	if pkt.Dst == p.host.ID() {
@@ -139,9 +129,6 @@ func (p *Protocol) routeData(m *routing.Data) {
 	}
 	p.Stats.DataDropped++
 	p.Stats.DropNoRoute++
-	if DebugDrop != nil {
-		DebugDrop("noroute", pkt)
-	}
 	p.sendRERR(pkt.Src, pkt.Dst)
 }
 

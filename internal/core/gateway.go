@@ -210,14 +210,9 @@ func (p *Protocol) deliverLocal(dst hostid.ID, pkt *routing.DataPacket) {
 		}
 		// No trace of the destination in this grid: it moved away (or
 		// died). Drop and tell the source so it re-discovers.
-		dropped := p.buffer.PopAll(dst)
-		p.Stats.DataDropped += uint64(len(dropped))
-		p.Stats.DropUnreach += uint64(len(dropped))
-		if DebugDrop != nil {
-			for _, d := range dropped {
-				DebugDrop("unreach", d)
-			}
-		}
+		dropped := len(p.buffer.PopAll(dst))
+		p.Stats.DataDropped += uint64(dropped)
+		p.Stats.DropUnreach += uint64(dropped)
 		p.sendRERR(pkt.Src, dst)
 	})
 }

@@ -9,14 +9,19 @@
 //	Fig 8 — fraction of alive hosts vs time across host densities
 //
 // The (a) variants use a 1 m/s top speed, the (b) variants 10 m/s, as in
-// the paper.
+// the paper. Two extensions beyond the paper are named experiments too:
+// Overhead (the on-air data/control breakdown) and Load (delivery vs
+// per-flow rate).
 //
-// Execution is batched: each figure first plans every simulation it
-// needs (all protocols, sweep points, and seed replicates), then fans
-// the whole job list across internal/batch's worker pool and folds the
-// indexed results back into series. Because every simulation is
-// deterministic and results are collected by job index, any Workers
-// setting reproduces the serial output exactly.
+// Execution is planned: Reproduce plans every simulation the named
+// experiments need (all protocols, sweep points, and seed replicates),
+// runs the whole list through one batch.Run, and folds the indexed
+// results back into each experiment's output. The figures share many
+// simulations (Figs 4 and 5 plot the same runs, as do Figs 6 and 7, and
+// at full size Fig 8's n=100 curves are Fig 4's), and batch.Run runs
+// each distinct config once. Because every simulation is deterministic and results are
+// collected by job index, any worker count reproduces the serial output
+// exactly.
 package experiment
 
 import (
@@ -32,10 +37,11 @@ import (
 	"ecgrid/internal/stats"
 )
 
-// Figure names one of the paper's evaluation figures.
+// Figure names one experiment: one of the paper's evaluation figures or
+// one of the two extensions.
 type Figure string
 
-// The ten figures of §4.
+// The ten figures of §4, and the two extensions.
 const (
 	Fig4a Figure = "4a"
 	Fig4b Figure = "4b"
@@ -47,6 +53,11 @@ const (
 	Fig7b Figure = "7b"
 	Fig8a Figure = "8a"
 	Fig8b Figure = "8b"
+
+	// Overhead is the on-air overhead breakdown (see OverheadResult).
+	Overhead Figure = "overhead"
+	// Load is the delivery rate vs per-flow CBR rate sweep (see planLoad).
+	Load Figure = "load"
 )
 
 // All lists every figure in paper order.
@@ -54,7 +65,9 @@ func All() []Figure {
 	return []Figure{Fig4a, Fig4b, Fig5a, Fig5b, Fig6a, Fig6b, Fig7a, Fig7b, Fig8a, Fig8b}
 }
 
-// Options tune an experiment run.
+// Options fix what an experiment's simulations are. How they run — the
+// worker count, progress and result store — is Reproduce's
+// batch.Options, and cancellation its context.
 type Options struct {
 	// Seed roots all randomness; runs with equal seeds are identical.
 	Seed int64
@@ -65,27 +78,21 @@ type Options struct {
 	// Fast shrinks the sweep (shorter horizon, fewer pause points) for
 	// benchmarks and smoke tests. The series keep their shape.
 	Fast bool
-	// Progress, if non-nil, receives a line per sub-run. It is invoked
-	// from one goroutine at a time (serialized through a batch.Sink), so
-	// plain closures are safe even with Workers > 1; lines arrive in
-	// completion order, not plan order.
-	Progress func(string)
-	// Workers caps concurrent simulation runs; <= 0 uses GOMAXPROCS.
-	// Results are identical for every value (see the package comment).
-	Workers int
-	// Store, if non-nil, is a persistent content-addressed result cache
-	// consulted before each run and filled after (see batch.ResultStore
-	// and internal/store). It survives across processes and is shared
-	// with cmd/simd.
-	Store batch.ResultStore
-	// Context, when non-nil, cancels in-flight sweeps.
-	Context context.Context
 	// Gen, when non-nil, overlays a scenario-generator spec onto every
-	// figure config: the paper's sweeps re-run under generated
+	// planned config: the paper's sweeps re-run under generated
 	// deployments, mobility, traffic shapes, or propagation maps
 	// (cmd/figures -scenario). Changing Gen changes every batch key, so
 	// stressed and plain figure runs never collide in a shared store.
 	Gen *scengen.Spec
+
+	// Workers is Run's batch.Options.Workers.
+	//
+	// Deprecated: pass batch.Options to Reproduce. Only Run reads it.
+	Workers int
+	// Store is Run's batch.Options.Store.
+	//
+	// Deprecated: pass batch.Options to Reproduce. Only Run reads it.
+	Store batch.ResultStore
 }
 
 // Point is one sample of a result series.
@@ -111,12 +118,20 @@ type Result struct {
 	Series []Series
 }
 
-// plan is a set of simulations plus the fold that turns their indexed
-// results into a figure.
+// Output is one experiment's outcome: a *Result for a figure or Load,
+// an *OverheadResult for Overhead.
+type Output interface {
+	WriteTable(w io.Writer) error
+}
+
+// plan is one experiment's simulations at one seed plus the fold that
+// turns their results, in job order, into its output.
 type plan struct {
-	res  *Result
 	jobs []batch.Job
-	fold func(runs []*runner.Results)
+	fold func(runs []*runner.Results) Output
+	// oneSeed marks an output with no mean±CI form: the experiment runs
+	// at Options.Seed alone, whatever Options.Seeds says.
+	oneSeed bool
 }
 
 // add appends one simulation to the plan.
@@ -124,47 +139,32 @@ func (p *plan) add(tag string, cfg scenario.Config) {
 	p.jobs = append(p.jobs, batch.Job{Tag: tag, Cfg: cfg})
 }
 
-// Run reproduces the given figure. With Options.Seeds > 1 the sweep is
-// repeated across seeds and the series report means with confidence
-// half-widths; all replicates join one batch, so seed repeats fan out
-// across workers just like sweep points do.
-func Run(fig Figure, opt Options) (*Result, error) {
-	seeds := opt.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	plans := make([]*plan, seeds)
+// Reproduce runs the named experiments and returns their outputs in
+// names order. Every name × seed is planned up front and the whole list
+// runs through one batch.Run under bopt, so seed repeats and sweep
+// points fan out across workers alike, and a simulation that several
+// experiments share runs once. With Options.Seeds > 1 a figure's series
+// report means with confidence half-widths. The first failed run fails
+// the whole call.
+func Reproduce(ctx context.Context, names []Figure, opt Options, bopt batch.Options) ([]Output, error) {
+	seeds := max(opt.Seeds, 1)
+	plans := make([][]*plan, len(names)) // per name, one per seed
 	var jobs []batch.Job
-	for i := 0; i < seeds; i++ {
-		o := opt
-		o.Seed = opt.Seed + int64(i)
-		p, err := planOne(fig, o)
-		if err != nil {
-			return nil, err
+	for i, name := range names {
+		for s := 0; s < seeds; s++ {
+			o := opt
+			o.Seed = opt.Seed + int64(s)
+			p, err := planOne(name, o)
+			if err != nil {
+				return nil, err
+			}
+			plans[i] = append(plans[i], p)
+			jobs = append(jobs, p.jobs...)
+			if p.oneSeed {
+				break
+			}
 		}
-		plans[i] = p
-		jobs = append(jobs, p.jobs...)
 	}
-	runs, err := runJobs(jobs, opt)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Result, seeds)
-	off := 0
-	for i, p := range plans {
-		p.fold(runs[off : off+len(p.jobs)])
-		off += len(p.jobs)
-		results[i] = p.res
-	}
-	if seeds == 1 {
-		return results[0], nil
-	}
-	return average(results), nil
-}
-
-// runJobs executes a job list under the options' batch settings and
-// returns the results in job order, or an error if any job failed.
-func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 	if opt.Gen != nil {
 		for i := range jobs {
 			jobs[i].Cfg.Gen = opt.Gen
@@ -175,24 +175,49 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 			}
 		}
 	}
-	bopt := batch.Options{
-		Workers:  opt.Workers,
-		Progress: batch.NewSink(opt.Progress),
-		Store:    opt.Store,
-	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results, sum := batch.Run(ctx, jobs, bopt)
 	if err := sum.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]*runner.Results, len(results))
-	for i, r := range results {
-		out[i] = r.Res
+
+	outs := make([]Output, len(names))
+	off := 0
+	for i, ps := range plans {
+		var figs []*Result
+		for _, p := range ps {
+			runs := make([]*runner.Results, len(p.jobs))
+			for j := range runs {
+				runs[j] = results[off+j].Res
+			}
+			off += len(p.jobs)
+			outs[i] = p.fold(runs)
+			if r, ok := outs[i].(*Result); ok {
+				figs = append(figs, r)
+			}
+		}
+		if len(ps) > 1 { // only plans that fold to a *Result repeat
+			outs[i] = average(figs)
+		}
 	}
-	return out, nil
+	return outs, nil
+}
+
+// Run reproduces one figure (or Load) with opt.Workers and opt.Store as
+// the batch options.
+//
+// Deprecated: use Reproduce. Run stays only because the bench module's
+// fig8a workload calls it.
+func Run(fig Figure, opt Options) (*Result, error) {
+	outs, err := Reproduce(context.Background(), []Figure{fig}, opt,
+		batch.Options{Workers: opt.Workers, Store: opt.Store})
+	if err != nil {
+		return nil, err
+	}
+	res, ok := outs[0].(*Result)
+	if !ok {
+		return nil, fmt.Errorf("experiment: %q is not a figure", fig)
+	}
+	return res, nil
 }
 
 // average merges same-shaped results into per-point means with 95 %
@@ -216,27 +241,32 @@ func average(results []*Result) *Result {
 	return &out
 }
 
-// planOne builds the figure's simulation plan for a single seed.
-func planOne(fig Figure, opt Options) (*plan, error) {
+// planOne builds the named experiment's simulation plan for a single
+// seed.
+func planOne(name Figure, opt Options) (*plan, error) {
 	speed := 1.0
-	switch fig {
+	switch name {
+	case Overhead:
+		return planOverhead(opt), nil
+	case Load:
+		return planLoad(opt), nil
 	case Fig4b, Fig5b, Fig6b, Fig7b, Fig8b:
 		speed = 10
 	case Fig4a, Fig5a, Fig6a, Fig7a, Fig8a:
 	default:
-		return nil, fmt.Errorf("experiment: unknown figure %q", fig)
+		return nil, fmt.Errorf("experiment: unknown figure %q", name)
 	}
-	switch fig {
+	switch name {
 	case Fig4a, Fig4b:
-		return planAliveVsTime(fig, speed, opt), nil
+		return planVsTime(name, speed, opt, false), nil
 	case Fig5a, Fig5b:
-		return planAenVsTime(fig, speed, opt), nil
+		return planVsTime(name, speed, opt, true), nil
 	case Fig6a, Fig6b:
-		return planPauseSweep(fig, speed, opt, true), nil
+		return planPauseSweep(name, speed, opt, true), nil
 	case Fig7a, Fig7b:
-		return planPauseSweep(fig, speed, opt, false), nil
+		return planPauseSweep(name, speed, opt, false), nil
 	default: // 8a, 8b
-		return planDensity(fig, speed, opt), nil
+		return planDensity(name, speed, opt), nil
 	}
 }
 
@@ -251,71 +281,57 @@ func baseConfig(p scenario.ProtocolKind, speed float64, seed int64) scenario.Con
 // protocols in the order the paper's legends use.
 var protocols = []scenario.ProtocolKind{scenario.GRID, scenario.ECGRID, scenario.GAF}
 
-// sampleSeries reads a collector time series at step intervals.
+// sampleSeries reads a collector time series at step intervals from 0
+// to horizon.
 func sampleSeries(label string, s *stats.Series, horizon, step float64) Series {
 	out := Series{Label: label}
-	for x := 0.0; x <= horizon; x += step {
-		out.Points = append(out.Points, Point{X: x, Y: s.At(x)})
+	for _, p := range s.Resample(0, horizon, step) {
+		out.Points = append(out.Points, Point{X: p.T, Y: p.V})
 	}
 	return out
 }
 
-// planAliveVsTime reproduces Fig 4: fraction of alive hosts vs simulation
-// time, 100 hosts, 10 pkt/s, pause 0.
-func planAliveVsTime(fig Figure, speed float64, opt Options) *plan {
+// planVsTime reproduces Fig 4, the fraction of alive hosts vs simulation
+// time, or with aen Fig 5, the paper's Eq. (2) normalized by the initial
+// per-host energy so the y-axis runs 0..1: 100 hosts, 10 pkt/s, pause 0.
+// Both figures plot the same runs.
+func planVsTime(fig Figure, speed float64, opt Options, aen bool) *plan {
 	horizon, step := 2000.0, 100.0
 	if opt.Fast {
-		horizon, step = 700, 100
+		horizon = 700
 	}
-	p := &plan{res: &Result{
+	res := &Result{
 		Figure: fig,
 		Title:  fmt.Sprintf("Fraction of alive hosts vs time (speed ≤ %g m/s)", speed),
 		XLabel: "Simulation time (s)",
 		YLabel: "Fraction of alive hosts",
-	}}
+	}
+	if aen {
+		res.Title = fmt.Sprintf("Mean energy consumption per host (aen) vs time (speed ≤ %g m/s)", speed)
+		res.YLabel = "aen (fraction of initial energy)"
+	}
+	p := &plan{}
 	for _, proto := range protocols {
 		cfg := baseConfig(proto, speed, opt.Seed)
 		cfg.Duration = horizon
 		p.add(fmt.Sprintf("fig %s: %v", fig, cfg), cfg)
 	}
-	p.fold = func(runs []*runner.Results) {
+	p.fold = func(runs []*runner.Results) Output {
 		for i, proto := range protocols {
-			p.res.Series = append(p.res.Series,
-				sampleSeries(string(proto), &runs[i].Collector.Alive, horizon, step))
+			s := &runs[i].Collector.Alive
+			if aen {
+				s = &runs[i].Collector.Aen
+			}
+			res.Series = append(res.Series, sampleSeries(string(proto), s, horizon, step))
 		}
-	}
-	return p
-}
-
-// planAenVsTime reproduces Fig 5: the paper's Eq. (2), normalized by the
-// initial per-host energy so the y-axis runs 0..1.
-func planAenVsTime(fig Figure, speed float64, opt Options) *plan {
-	horizon, step := 2000.0, 100.0
-	if opt.Fast {
-		horizon, step = 700, 100
-	}
-	p := &plan{res: &Result{
-		Figure: fig,
-		Title:  fmt.Sprintf("Mean energy consumption per host (aen) vs time (speed ≤ %g m/s)", speed),
-		XLabel: "Simulation time (s)",
-		YLabel: "aen (fraction of initial energy)",
-	}}
-	for _, proto := range protocols {
-		cfg := baseConfig(proto, speed, opt.Seed)
-		cfg.Duration = horizon
-		p.add(fmt.Sprintf("fig %s: %v", fig, cfg), cfg)
-	}
-	p.fold = func(runs []*runner.Results) {
-		for i, proto := range protocols {
-			p.res.Series = append(p.res.Series,
-				sampleSeries(string(proto), &runs[i].Collector.Aen, horizon, step))
-		}
+		return res
 	}
 	return p
 }
 
 // planPauseSweep reproduces Figs 6 and 7: latency (ms) or delivery rate vs
 // pause time, at simulation time 590 s (when the GRID network exhausts).
+// Both figures plot the same runs.
 func planPauseSweep(fig Figure, speed float64, opt Options, latency bool) *plan {
 	pauses := []float64{0, 100, 200, 300, 400, 500, 600}
 	duration := 590.0
@@ -323,14 +339,15 @@ func planPauseSweep(fig Figure, speed float64, opt Options, latency bool) *plan 
 		pauses = []float64{0, 300, 600}
 		duration = 300
 	}
-	p := &plan{res: &Result{Figure: fig, XLabel: "Pause time (s)"}}
+	res := &Result{Figure: fig, XLabel: "Pause time (s)"}
 	if latency {
-		p.res.Title = fmt.Sprintf("Packet delivery latency vs pause time (speed ≤ %g m/s)", speed)
-		p.res.YLabel = "Latency (ms)"
+		res.Title = fmt.Sprintf("Packet delivery latency vs pause time (speed ≤ %g m/s)", speed)
+		res.YLabel = "Latency (ms)"
 	} else {
-		p.res.Title = fmt.Sprintf("Packet delivery rate vs pause time (speed ≤ %g m/s)", speed)
-		p.res.YLabel = "Delivery rate"
+		res.Title = fmt.Sprintf("Packet delivery rate vs pause time (speed ≤ %g m/s)", speed)
+		res.YLabel = "Delivery rate"
 	}
+	p := &plan{}
 	for _, proto := range protocols {
 		for _, pause := range pauses {
 			cfg := baseConfig(proto, speed, opt.Seed)
@@ -339,7 +356,7 @@ func planPauseSweep(fig Figure, speed float64, opt Options, latency bool) *plan 
 			p.add(fmt.Sprintf("fig %s: %v", fig, cfg), cfg)
 		}
 	}
-	p.fold = func(runs []*runner.Results) {
+	p.fold = func(runs []*runner.Results) Output {
 		i := 0
 		for _, proto := range protocols {
 			s := Series{Label: string(proto)}
@@ -352,8 +369,9 @@ func planPauseSweep(fig Figure, speed float64, opt Options, latency bool) *plan 
 				}
 				s.Points = append(s.Points, Point{X: pause, Y: y})
 			}
-			p.res.Series = append(p.res.Series, s)
+			res.Series = append(res.Series, s)
 		}
+		return res
 	}
 	return p
 }
@@ -367,13 +385,14 @@ func planDensity(fig Figure, speed float64, opt Options) *plan {
 		horizon = 700
 		densities = []int{50, 200}
 	}
-	p := &plan{res: &Result{
+	res := &Result{
 		Figure: fig,
 		Title:  fmt.Sprintf("Alive hosts vs time across host densities (speed ≤ %g m/s)", speed),
 		XLabel: "Simulation time (s)",
 		YLabel: "Fraction of alive hosts",
-	}}
+	}
 	densityProtocols := []scenario.ProtocolKind{scenario.GRID, scenario.ECGRID}
+	p := &plan{}
 	for _, proto := range densityProtocols {
 		for _, n := range densities {
 			cfg := baseConfig(proto, speed, opt.Seed)
@@ -382,15 +401,16 @@ func planDensity(fig Figure, speed float64, opt Options) *plan {
 			p.add(fmt.Sprintf("fig %s: %v", fig, cfg), cfg)
 		}
 	}
-	p.fold = func(runs []*runner.Results) {
+	p.fold = func(runs []*runner.Results) Output {
 		i := 0
 		for _, proto := range densityProtocols {
 			for _, n := range densities {
-				p.res.Series = append(p.res.Series,
+				res.Series = append(res.Series,
 					sampleSeries(fmt.Sprintf("%s n=%d", proto, n), &runs[i].Collector.Alive, horizon, step))
 				i++
 			}
 		}
+		return res
 	}
 	return p
 }

@@ -2,12 +2,34 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"ecgrid/internal/batch"
 	"ecgrid/internal/store"
 )
+
+// reproduce runs the named experiments through Reproduce and fails the
+// test on error.
+func reproduce(t *testing.T, names []Figure, opt Options, bopt batch.Options) []Output {
+	t.Helper()
+	outs, err := Reproduce(context.Background(), names, opt, bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(names) {
+		t.Fatalf("%d outputs for %d names", len(outs), len(names))
+	}
+	return outs
+}
+
+// figure reproduces one figure (or Load) under default batch options.
+func figure(t *testing.T, fig Figure, opt Options) *Result {
+	t.Helper()
+	return reproduce(t, []Figure{fig}, opt, batch.Options{})[0].(*Result)
+}
 
 func TestAllListsTenFigures(t *testing.T) {
 	figs := All()
@@ -24,16 +46,16 @@ func TestAllListsTenFigures(t *testing.T) {
 }
 
 func TestUnknownFigure(t *testing.T) {
-	if _, err := Run(Figure("9z"), Options{}); err == nil {
+	if _, err := Reproduce(context.Background(), []Figure{Fig4a, "9z"}, Options{}, batch.Options{}); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	if _, err := Run(Figure("9z"), Options{}); err == nil {
+		t.Fatal("Run accepted an unknown figure")
 	}
 }
 
 func TestFig4aFastShape(t *testing.T) {
-	res, err := Run(Fig4a, Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig4a, Options{Seed: 1, Fast: true})
 	if len(res.Series) != 3 {
 		t.Fatalf("fig 4a has %d series, want 3 (grid, ecgrid, gaf)", len(res.Series))
 	}
@@ -66,10 +88,7 @@ func TestFig4aFastShape(t *testing.T) {
 }
 
 func TestFig5aFastShape(t *testing.T) {
-	res, err := Run(Fig5a, Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig5a, Options{Seed: 1, Fast: true})
 	byLabel := map[string][]Point{}
 	for _, s := range res.Series {
 		byLabel[s.Label] = s.Points
@@ -98,10 +117,7 @@ func TestFig5aFastShape(t *testing.T) {
 }
 
 func TestFig7aFastShape(t *testing.T) {
-	res, err := Run(Fig7a, Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig7a, Options{Seed: 1, Fast: true})
 	for _, s := range res.Series {
 		for _, p := range s.Points {
 			if p.Y < 0.5 || p.Y > 1 {
@@ -113,10 +129,7 @@ func TestFig7aFastShape(t *testing.T) {
 }
 
 func TestFig6aFastShape(t *testing.T) {
-	res, err := Run(Fig6a, Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig6a, Options{Seed: 1, Fast: true})
 	for _, s := range res.Series {
 		for _, p := range s.Points {
 			if p.Y <= 0 || p.Y > 500 {
@@ -127,10 +140,7 @@ func TestFig6aFastShape(t *testing.T) {
 }
 
 func TestFig8aFastShape(t *testing.T) {
-	res, err := Run(Fig8a, Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig8a, Options{Seed: 1, Fast: true})
 	// Fast mode: grid and ecgrid at 50 and 200 hosts → 4 series.
 	if len(res.Series) != 4 {
 		t.Fatalf("fig 8a has %d series, want 4", len(res.Series))
@@ -151,16 +161,8 @@ func TestFig8aFastShape(t *testing.T) {
 // — the batch layer's core guarantee, asserted at the figure level.
 func TestParallelMatchesSerial(t *testing.T) {
 	opt := Options{Seed: 1, Seeds: 2, Fast: true}
-	opt.Workers = 1
-	serial, err := Run(Fig7a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 8
-	parallel, err := Run(Fig7a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := reproduce(t, []Figure{Fig7a}, opt, batch.Options{Workers: 1})
+	parallel := reproduce(t, []Figure{Fig7a}, opt, batch.Options{Workers: 8})
 	a, err := json.Marshal(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -182,17 +184,11 @@ func TestStoreReproducesFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Seed: 1, Fast: true, Store: st}
-	first, err := Run(Fig7a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := Options{Seed: 1, Fast: true}
+	first := reproduce(t, []Figure{Fig7a}, opt, batch.Options{Store: st})
 	var lines []string
-	opt.Progress = func(s string) { lines = append(lines, s) }
-	second, err := Run(Fig7a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bopt := batch.Options{Store: st, Progress: batch.NewSink(func(s string) { lines = append(lines, s) })}
+	second := reproduce(t, []Figure{Fig7a}, opt, bopt)
 	if len(lines) == 0 {
 		t.Fatal("warm run logged no progress")
 	}
@@ -216,14 +212,36 @@ func TestStoreReproducesFigure(t *testing.T) {
 
 func TestProgressCallback(t *testing.T) {
 	var lines []string
-	_, err := Run(Fig7a, Options{Seed: 1, Fast: true, Progress: func(s string) {
-		lines = append(lines, s)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reproduce(t, []Figure{Fig7a}, Options{Seed: 1, Fast: true},
+		batch.Options{Progress: batch.NewSink(func(s string) { lines = append(lines, s) })})
 	if len(lines) == 0 {
 		t.Fatal("no progress lines")
+	}
+}
+
+// TestSharedRunsPlannedOnce: Figs 4a and 5a plot the same three runs.
+// Planned together they run, and log, three simulations, and each
+// figure's series equal those from planning it alone.
+func TestSharedRunsPlannedOnce(t *testing.T) {
+	opt := Options{Seed: 1, Fast: true}
+	var lines []string
+	both := reproduce(t, []Figure{Fig4a, Fig5a}, opt,
+		batch.Options{Progress: batch.NewSink(func(s string) { lines = append(lines, s) })})
+	if len(lines) != 3 {
+		t.Fatalf("Figs 4a and 5a together logged %d runs, want 3: %q", len(lines), lines)
+	}
+	for i, fig := range []Figure{Fig4a, Fig5a} {
+		alone, err := json.Marshal(figure(t, fig, opt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		together, err := json.Marshal(both[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(alone) != string(together) {
+			t.Errorf("fig %s planned with another figure differs from planned alone:\n%s\n%s", fig, together, alone)
+		}
 	}
 }
 
@@ -270,10 +288,7 @@ func TestWriteTableAndCSV(t *testing.T) {
 }
 
 func TestMultiSeedAveraging(t *testing.T) {
-	res, err := Run(Fig7a, Options{Seed: 1, Seeds: 2, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Fig7a, Options{Seed: 1, Seeds: 2, Fast: true})
 	for _, s := range res.Series {
 		if s.CI == nil || len(s.CI) != len(s.Points) {
 			t.Fatalf("%s: missing CI (%d vs %d points)", s.Label, len(s.CI), len(s.Points))
@@ -294,7 +309,13 @@ func TestMultiSeedAveraging(t *testing.T) {
 }
 
 func TestOverheadExperiment(t *testing.T) {
-	res := RunOverhead(Options{Seed: 1, Fast: true})
+	// The breakdown has no mean±CI form: extra seeds plan no extra runs.
+	var lines []string
+	res := reproduce(t, []Figure{Overhead}, Options{Seed: 1, Seeds: 2, Fast: true},
+		batch.Options{Progress: batch.NewSink(func(s string) { lines = append(lines, s) })})[0].(*OverheadResult)
+	if len(lines) != 3 {
+		t.Fatalf("overhead at two seeds logged %d runs, want 3: %q", len(lines), lines)
+	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(res.Rows))
 	}
@@ -331,6 +352,17 @@ func TestOverheadExperiment(t *testing.T) {
 	}
 }
 
+// TestReproduceCancelled: a cancelled batch comes back as an error from
+// every experiment, the overhead breakdown included, never as a panic.
+func TestReproduceCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	outs, err := Reproduce(ctx, []Figure{Fig4a, Overhead}, Options{Seed: 1, Fast: true}, batch.Options{})
+	if err == nil || outs != nil {
+		t.Fatalf("cancelled Reproduce = %v, %v; want no outputs and an error", outs, err)
+	}
+}
+
 func TestOverheadRowZeroDelivered(t *testing.T) {
 	r := OverheadRow{ControlBytes: 100}
 	if r.ControlBytesPerDelivered() != 0 {
@@ -339,10 +371,7 @@ func TestOverheadRowZeroDelivered(t *testing.T) {
 }
 
 func TestLoadSweepExtension(t *testing.T) {
-	res, err := RunLoadSweep(Options{Seed: 1, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure(t, Load, Options{Seed: 1, Fast: true})
 	if len(res.Series) != 3 {
 		t.Fatalf("%d series", len(res.Series))
 	}

@@ -5,8 +5,8 @@ import (
 	"io"
 	"sort"
 
-	"ecgrid/internal/batch"
 	"ecgrid/internal/radio"
+	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
 )
 
@@ -42,44 +42,42 @@ type OverheadResult struct {
 	Rows []OverheadRow
 }
 
-// RunOverhead measures the air-usage breakdown of all three protocols on
-// the paper's common setup, running the protocols concurrently through
-// the batch pool. It panics if a run fails (the configs are fixed and
-// known-valid; only resource exhaustion can fail here).
-func RunOverhead(opt Options) *OverheadResult {
+// planOverhead measures the air-usage breakdown of all three protocols
+// on the paper's common setup. The breakdown has no mean±CI form, so it
+// runs at Options.Seed alone.
+func planOverhead(opt Options) *plan {
 	duration := 400.0
 	if opt.Fast {
 		duration = 120
 	}
-	var jobs []batch.Job
-	for _, p := range protocols {
-		cfg := baseConfig(p, 1, opt.Seed)
+	p := &plan{oneSeed: true}
+	for _, proto := range protocols {
+		cfg := baseConfig(proto, 1, opt.Seed)
 		cfg.Duration = duration
-		jobs = append(jobs, batch.Job{Tag: fmt.Sprintf("overhead: %v", cfg), Cfg: cfg})
+		p.add(fmt.Sprintf("overhead: %v", cfg), cfg)
 	}
-	runs, err := runJobs(jobs, opt)
-	if err != nil {
-		panic(err)
-	}
-	res := &OverheadResult{}
-	for i, p := range protocols {
-		r := runs[i]
-		row := OverheadRow{
-			Protocol:  p,
-			Delivered: r.Delivered,
-			ByKind:    r.PerKind,
-		}
-		for kind, kc := range r.PerKind {
-			if kind == "data" {
-				row.DataBytes += kc.Bytes
-				continue
+	p.fold = func(runs []*runner.Results) Output {
+		res := &OverheadResult{}
+		for i, proto := range protocols {
+			r := runs[i]
+			row := OverheadRow{
+				Protocol:  proto,
+				Delivered: r.Delivered,
+				ByKind:    r.PerKind,
 			}
-			row.ControlBytes += kc.Bytes
-			row.ControlFrames += kc.Frames
+			for kind, kc := range r.PerKind {
+				if kind == "data" {
+					row.DataBytes += kc.Bytes
+					continue
+				}
+				row.ControlBytes += kc.Bytes
+				row.ControlFrames += kc.Frames
+			}
+			res.Rows = append(res.Rows, row)
 		}
-		res.Rows = append(res.Rows, row)
+		return res
 	}
-	return res
+	return p
 }
 
 // WriteTable renders the breakdown.

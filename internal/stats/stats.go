@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the metrics and
-// benchmark layers use: streaming accumulators, percentiles, and
-// time-series resampling.
+// experiment layers use: streaming accumulators, percentiles, confidence
+// intervals, and time-series resampling.
 package stats
 
 import (
@@ -95,6 +95,20 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// MeanCI returns the sample mean of xs and the half-width of its normal
+// 95 % confidence interval (1.96·s/√n). With fewer than two observations
+// the half-width is 0.
+func MeanCI(xs []float64) (mean, halfWidth float64) {
+	var a Accumulator
+	for _, x := range xs {
+		a.Add(x)
+	}
+	if a.N() < 2 {
+		return a.Mean(), 0
+	}
+	return a.Mean(), 1.96 * a.StdDev() / math.Sqrt(float64(a.N()))
 }
 
 // SeriesPoint is one sample of a time series.

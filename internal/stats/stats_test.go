@@ -214,3 +214,20 @@ func TestSeriesResamplePanics(t *testing.T) {
 	}()
 	s.Resample(0, 10, 0)
 }
+
+func TestMeanCI(t *testing.T) {
+	mean, hw := MeanCI([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	if math.Abs(mean-5) > 1e-9 {
+		t.Fatalf("mean = %v", mean)
+	}
+	want := 1.96 * math.Sqrt(32.0/7) / math.Sqrt(8)
+	if math.Abs(hw-want) > 1e-9 {
+		t.Fatalf("halfWidth = %v, want %v", hw, want)
+	}
+	if m, h := MeanCI([]float64{3}); m != 3 || h != 0 {
+		t.Fatalf("single obs: %v ± %v", m, h)
+	}
+	if m, h := MeanCI(nil); m != 0 || h != 0 {
+		t.Fatalf("empty: %v ± %v", m, h)
+	}
+}

@@ -77,18 +77,7 @@ func (o *OnOff) emit() {
 		return
 	}
 	o.seq++
-	pkt := &routing.DataPacket{
-		Flow:   o.Flow,
-		Seq:    o.seq,
-		Src:    o.Src,
-		Dst:    o.Dst,
-		Bytes:  o.Bytes,
-		SentAt: o.engine.Now(),
-	}
-	if o.OnSend != nil {
-		o.OnSend(pkt)
-	}
-	o.sender.SubmitData(pkt)
+	send(o.engine, o.sender, o.OnSend, o.Flow, o.seq, o.Src, o.Dst, o.Bytes)
 }
 
 // Stop halts the flow and its toggle clock.

@@ -66,18 +66,7 @@ func (r *ReqResp) request() {
 		return
 	}
 	r.seqReq++
-	pkt := &routing.DataPacket{
-		Flow:   r.Flow,
-		Seq:    r.seqReq,
-		Src:    r.A,
-		Dst:    r.B,
-		Bytes:  r.Bytes,
-		SentAt: r.engine.Now(),
-	}
-	if r.OnSend != nil {
-		r.OnSend(pkt)
-	}
-	r.aSend.SubmitData(pkt)
+	send(r.engine, r.aSend, r.OnSend, r.Flow, r.seqReq, r.A, r.B, r.Bytes)
 }
 
 // Delivered must be called for every data packet delivered anywhere in
@@ -98,18 +87,7 @@ func (r *ReqResp) respond() {
 		return
 	}
 	r.seqResp++
-	pkt := &routing.DataPacket{
-		Flow:   r.RespFlow,
-		Seq:    r.seqResp,
-		Src:    r.B,
-		Dst:    r.A,
-		Bytes:  r.RespBytes,
-		SentAt: r.engine.Now(),
-	}
-	if r.OnSend != nil {
-		r.OnSend(pkt)
-	}
-	r.bSend.SubmitData(pkt)
+	send(r.engine, r.bSend, r.OnSend, r.RespFlow, r.seqResp, r.B, r.A, r.RespBytes)
 }
 
 // Stop halts the request clock and suppresses responses still in the

@@ -14,9 +14,6 @@ type Sender interface {
 	SubmitData(pkt *routing.DataPacket)
 }
 
-// PaperPacketBytes is the payload size used throughout the evaluation.
-const PaperPacketBytes = 512
-
 // CBR is one constant-bit-rate flow.
 type CBR struct {
 	Flow  int
@@ -57,18 +54,24 @@ func (c *CBR) emit() {
 		return
 	}
 	c.seq++
+	send(c.engine, c.sender, c.OnSend, c.Flow, c.seq, c.Src, c.Dst, c.Bytes)
+}
+
+// send builds one data packet stamped with the engine's clock, shows it
+// to onSend when set, and submits it through s.
+func send(engine *sim.Engine, s Sender, onSend func(*routing.DataPacket), flow, seq int, src, dst hostid.ID, bytes int) {
 	pkt := &routing.DataPacket{
-		Flow:   c.Flow,
-		Seq:    c.seq,
-		Src:    c.Src,
-		Dst:    c.Dst,
-		Bytes:  c.Bytes,
-		SentAt: c.engine.Now(),
+		Flow:   flow,
+		Seq:    seq,
+		Src:    src,
+		Dst:    dst,
+		Bytes:  bytes,
+		SentAt: engine.Now(),
 	}
-	if c.OnSend != nil {
-		c.OnSend(pkt)
+	if onSend != nil {
+		onSend(pkt)
 	}
-	c.sender.SubmitData(pkt)
+	s.SubmitData(pkt)
 }
 
 // Stop halts the flow.
